@@ -15,8 +15,8 @@ obs::Counter* PackNsCounter() {
   return c;
 }
 
-}  // namespace
-
+/// Packs B (k x n, row stride ldb) into the panel layout (k*n floats).
+/// Records the time spent into the gemm.pack_ns counter.
 void PackNN(Index k, Index n, const float* b, Index ldb, float* packed) {
   const uint64_t t0 = Stopwatch::NowNs();
   for (Index c0 = 0; c0 < n; c0 += kNr) {
@@ -31,6 +31,9 @@ void PackNN(Index k, Index n, const float* b, Index ldb, float* packed) {
   PackNsCounter()->Add(Stopwatch::NowNs() - t0);
 }
 
+/// Packs Y (n x k, row stride ldy) *transposed* into the same panel layout,
+/// i.e. PackNN of Yᵀ: panel element (j, c0+t) = Y[(c0+t)*ldy + j]. Records
+/// pack time into gemm.pack_ns.
 void PackNT(Index k, Index n, const float* y, Index ldy, float* packed) {
   const uint64_t t0 = Stopwatch::NowNs();
   for (Index c0 = 0; c0 < n; c0 += kNr) {
@@ -44,6 +47,10 @@ void PackNT(Index k, Index n, const float* y, Index ldy, float* packed) {
   PackNsCounter()->Add(Stopwatch::NowNs() - t0);
 }
 
+/// NN kernel over rows [i0, i1): C[i, 0..n) += A_row_i · B using a packed B
+/// panel. A is read at a[i*rsa + l*csa] (rsa=k, csa=1 for a plain row-major
+/// A; rsa=1, csa=lda for a transposed read). C (row stride ldc) must be
+/// pre-initialized; accumulation per element is l ascending.
 void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
             Index csa, const float* packed, float* c, Index ldc) {
   for (Index l0 = 0; l0 < k; l0 += kKc) {
@@ -94,6 +101,9 @@ void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
   }
 }
 
+/// NT kernel over rows [i0, i1): C[i, 0..n) += X_row_i · Yᵀ using a packed
+/// Yᵀ panel (PackNT). Each output element is one fresh j-ascending dot
+/// accumulator added to C once.
 void NTRows(Index i0, Index i1, Index n, Index k, const float* x, Index ldx,
             const float* packed, float* c, Index ldc) {
   for (Index c0 = 0; c0 < n; c0 += kNr) {
@@ -133,6 +143,8 @@ void NTRows(Index i0, Index i1, Index n, Index k, const float* x, Index ldx,
     }
   }
 }
+
+}  // namespace
 
 void GemmNN(Index m, Index n, Index k, const float* a, Index rsa, Index csa,
             const float* b, Index ldb, float* c, Index ldc,

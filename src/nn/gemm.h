@@ -1,9 +1,9 @@
 // cews::nn::gemm — packed, cache-blocked, SIMD-friendly GEMM micro-kernels.
 //
-// Every hot dense product in the NN substrate routes through the two kernel
-// shapes below; together they cover MatMul forward (C = A·B), both MatMul
-// backward products (dA = dC·Bᵀ, dB = Aᵀ·dC) and the Conv2d im2col products
-// (forward, dW, dX).
+// Every dense MatMul product in the NN substrate routes through the two
+// kernel shapes below: MatMul forward (C = A·B) and both MatMul backward
+// products (dA = dC·Bᵀ, dB = Aᵀ·dC). Conv2d has its own direct kernels
+// (nn/conv.h).
 //
 //  * NN ("axpy" accumulation): C[i, j] += Σ_l A[i, l] · B[l, j], where the
 //    per-element accumulation order is l ascending and C is accumulated in
@@ -83,28 +83,6 @@ void ParallelKernel(Index n, Index flops_per_index, Fn&& fn) {
     fn(static_cast<Index>(begin), static_cast<Index>(end));
   });
 }
-
-/// Packs B (k x n, row stride ldb) into the panel layout above (k*n floats).
-/// Records the time spent into the gemm.pack_ns counter.
-void PackNN(Index k, Index n, const float* b, Index ldb, float* packed);
-
-/// Packs Y (n x k, row stride ldy) *transposed* into the same panel layout,
-/// i.e. PackNN of Yᵀ: panel element (j, c0+t) = Y[(c0+t)*ldy + j]. Records
-/// pack time into gemm.pack_ns.
-void PackNT(Index k, Index n, const float* y, Index ldy, float* packed);
-
-/// NN kernel over rows [i0, i1): C[i, 0..n) += A_row_i · B using a packed B
-/// panel. A is read at a[i*rsa + l*csa] (pass rsa=k, csa=1 for a plain
-/// row-major A; rsa=1, csa=lda for a transposed read). C (row stride ldc)
-/// must be pre-initialized; accumulation per element is l ascending.
-void NNRows(Index i0, Index i1, Index n, Index k, const float* a, Index rsa,
-            Index csa, const float* packed, float* c, Index ldc);
-
-/// NT kernel over rows [i0, i1): C[i, 0..n) += X_row_i · Yᵀ using a packed
-/// Yᵀ panel (PackNT). Each output element is one fresh j-ascending dot
-/// accumulator added to C once.
-void NTRows(Index i0, Index i1, Index n, Index k, const float* x, Index ldx,
-            const float* packed, float* c, Index ldc);
 
 /// Convenience wrapper: C (m x n, ldc) += A (m x k, strides rsa/csa) ·
 /// B (k x n, ldb). Packs B into `pack_scratch` when given (k*n floats,

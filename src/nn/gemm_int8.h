@@ -87,7 +87,7 @@ void QuantizeColsInt8(Index k, Index n, const float* x, Index ldx, int8_t* xq,
                       float* scales);
 
 /// Packs B (k x n int8, row stride ldb) into the panel layout above
-/// (Int8PanelBytes(k, n) bytes). The int8 analogue of PackNN —
+/// (Int8PanelBytes(k, n) bytes). The int8 analogue of the fp32 GEMM pack —
 /// request-time path for quantized im2col columns.
 void PackInt8NN(Index k, Index n, const int8_t* b, Index ldb, int8_t* packed);
 

@@ -68,8 +68,8 @@ bool Recording();
 /// Lifetime class of a kernel scratch buffer relative to its op.
 enum class BufLife {
   kFwd,   ///< Live only inside the forward thunk (packed GEMM panels).
-  kSpan,  ///< Written by forward, read by the op's backward (im2col
-          ///< columns, LayerNorm row statistics).
+  kSpan,  ///< Written by forward, read by the op's backward (padded
+          ///< conv inputs, LayerNorm row statistics).
   kBwd,   ///< Live only inside the backward closure (gradient scratch).
 };
 

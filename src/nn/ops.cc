@@ -6,9 +6,8 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/env_flags.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
+#include "nn/conv.h"
 #include "nn/gemm.h"
 #include "nn/graph.h"
 #include "nn/workspace.h"
@@ -22,13 +21,13 @@ namespace {
 // ---------------------------------------------------------------------------
 // Intra-op parallelism.
 //
-// The hot kernels (MatMul, Conv2d) run on the cews::runtime global pool via
-// the packed GEMM layer (nn/gemm.h). Every kernel is written so that each
-// parallel index owns its accumulators outright (a row of the output, an
-// image of the batch, an output channel of the weight gradient) and
-// accumulates them in a fixed serial order. Chunk boundaries therefore never
-// change any floating-point result: outputs are bitwise-identical at any
-// thread count.
+// The hot kernels run on the cews::runtime global pool: MatMul via the
+// packed GEMM layer (nn/gemm.h), Conv2d via the direct convolution kernels
+// (nn/conv.h). Every kernel is written so that each parallel index owns its
+// accumulators outright (a row of the output, an image of the batch, a tap
+// of the weight gradient) and accumulates them in a fixed serial order.
+// Chunk boundaries therefore never change any floating-point result:
+// outputs are bitwise-identical at any thread count.
 //
 // Execution modes (nn/tensor.h): each op computes its forward through a
 // thunk that reads its inputs' *current* data pointers. Eagerly the thunk
@@ -39,14 +38,13 @@ namespace {
 // closures are identical in both modes, which is the heart of the
 // tape/graph bitwise-equivalence contract.
 //
-// Transient buffers (im2col columns, packed panels, per-image gradient
-// scratch) and op outputs come from the per-thread workspace arena
+// Transient buffers (padded conv inputs, packed panels, transposed
+// gradients) and op outputs come from the per-thread workspace arena
 // (nn/workspace.h) in eager mode, so a steady-state training step recycles
 // every one of them instead of hitting the allocator; in graph mode they are
 // graph::OpBufs the planner folds into the arena.
 // ---------------------------------------------------------------------------
 
-using gemm::ParallelKernel;
 using graph::BufLife;
 using graph::OpBuf;
 
@@ -788,342 +786,100 @@ Tensor Checkpoint(const Tensor& t) {
   return t;
 }
 
-namespace {
-
-/// Static geometry of one Conv2d call (im2col formulation). The patch
-/// dimension p = (ic * kh + ky) * kw + kx indexes rows of the column matrix;
-/// the output-pixel dimension q = y * ow + x indexes its columns.
-struct ConvShape {
-  Index n, c, h, w;    // input  [N, C, H, W]
-  Index oc, kh, kw;    // weight [OC, C, KH, KW]
-  Index oh, ow;        // output spatial dims
-  int stride, padding;
-  Index ck2() const { return c * kh * kw; }
-  Index ohow() const { return oh * ow; }
-};
-
-/// Unfolds one image into its column matrix cols [ck2, ohow]; out-of-bounds
-/// (padding) taps become zeros.
-void Im2Col(const ConvShape& s, const float* img, float* cols) {
-  for (Index ic = 0; ic < s.c; ++ic) {
-    const float* plane = img + ic * s.h * s.w;
-    for (Index ky = 0; ky < s.kh; ++ky) {
-      for (Index kx = 0; kx < s.kw; ++kx) {
-        float* row =
-            cols + ((ic * s.kh + ky) * s.kw + kx) * s.ohow();
-        for (Index y = 0; y < s.oh; ++y) {
-          const Index iy = y * s.stride - s.padding + ky;
-          float* dst = row + y * s.ow;
-          if (iy < 0 || iy >= s.h) {
-            std::fill(dst, dst + s.ow, 0.0f);
-            continue;
-          }
-          const float* src = plane + iy * s.w;
-          for (Index x = 0; x < s.ow; ++x) {
-            const Index ixp = x * s.stride - s.padding + kx;
-            dst[x] = (ixp < 0 || ixp >= s.w) ? 0.0f : src[ixp];
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Folds a column-matrix gradient back into one image gradient (the adjoint
-/// of Im2Col); accumulates with +=.
-void Col2ImAccum(const ConvShape& s, const float* cols, float* img) {
-  for (Index ic = 0; ic < s.c; ++ic) {
-    float* plane = img + ic * s.h * s.w;
-    for (Index ky = 0; ky < s.kh; ++ky) {
-      for (Index kx = 0; kx < s.kw; ++kx) {
-        const float* row =
-            cols + ((ic * s.kh + ky) * s.kw + kx) * s.ohow();
-        for (Index y = 0; y < s.oh; ++y) {
-          const Index iy = y * s.stride - s.padding + ky;
-          if (iy < 0 || iy >= s.h) continue;
-          const float* src = row + y * s.ow;
-          float* dst = plane + iy * s.w;
-          for (Index x = 0; x < s.ow; ++x) {
-            const Index ixp = x * s.stride - s.padding + kx;
-            if (ixp < 0 || ixp >= s.w) continue;
-            dst[ixp] += src[x];
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Unfolds the whole batch into cols (n * ck2 * ohow floats, caller-owned —
-/// typically a workspace chunk), one image per parallel index.
-void BatchIm2Col(const ConvShape& s, const float* px, float* pc) {
-  ParallelKernel(s.n, s.ck2() * s.ohow(), [&](Index n0, Index n1) {
-    for (Index in = n0; in < n1; ++in) {
-      Im2Col(s, px + in * s.c * s.h * s.w, pc + in * s.ck2() * s.ohow());
-    }
-  });
-}
-
-/// Packs each image's column matrix [ck2, ohow] into the GEMM panel layout,
-/// one image per parallel index. Pass transposed=true for the Yᵀ (PackNT)
-/// layout the dW product consumes.
-void PackBatch(const ConvShape& s, const float* pc, float* pp,
-               bool transposed) {
-  const Index ck2 = s.ck2(), ohow = s.ohow();
-  ParallelKernel(s.n, ck2 * ohow, [&](Index n0, Index n1) {
-    for (Index in = n0; in < n1; ++in) {
-      const float* src = pc + in * ck2 * ohow;
-      float* dst = pp + in * ck2 * ohow;
-      if (transposed) {
-        gemm::PackNT(ohow, ck2, src, ohow, dst);
-      } else {
-        gemm::PackNN(ck2, ohow, src, ohow, dst);
-      }
-    }
-  });
-}
-
-/// When true (default), Conv2d keeps the forward im2col buffer alive inside
-/// the backward closure so dW does not recompute it. CEWS_CONV_CACHE=0
-/// restores the recompute-in-backward behavior (trades time for memory);
-/// read per call so tests can toggle it. Graph recordings always cache:
-/// the cols buffer is planner-managed there, so it costs no extra resident
-/// memory beyond its liveness window.
-bool ConvColsCacheEnabled() { return GetEnvBool("CEWS_CONV_CACHE", true); }
-
-/// The im2col + pack + NNRows forward product shared by the eager path and
-/// the graph thunk. cols/packed are caller scratch of n*ck2*ohow floats
-/// each; all three outputs (cols, packed, po) are fully overwritten.
-void ConvForwardBody(const ConvShape& s, const float* px, const float* pw,
-                     const float* pbias, float* cols, float* packed,
-                     float* po) {
-  const Index ck2 = s.ck2(), ohow = s.ohow();
-  BatchIm2Col(s, px, cols);
-  PackBatch(s, cols, packed, /*transposed=*/false);
-  ParallelKernel(s.n * s.oc, 2 * ck2 * ohow, [&](Index r0, Index r1) {
-    // A chunk may span image boundaries; group its rows by image so each
-    // NNRows call covers a contiguous block of output channels and gets
-    // the full kMr-row register tiling.
-    Index row = r0;
-    while (row < r1) {
-      const Index in = row / s.oc;
-      const Index io0 = row % s.oc;
-      const Index io1 = std::min(s.oc, io0 + (r1 - row));
-      float* obase = po + in * s.oc * ohow;
-      for (Index io = io0; io < io1; ++io) {
-        float* orow = obase + io * ohow;
-        std::fill(orow, orow + ohow, pbias != nullptr ? pbias[io] : 0.0f);
-      }
-      gemm::NNRows(io0, io1, ohow, ck2, pw, ck2, 1,
-                   packed + in * ck2 * ohow, obase, ohow);
-      row += io1 - io0;
-    }
-  });
-}
-
-/// The dW/db/dX backward products shared by the eager closure and the graph
-/// closure. `cols` is the cached forward im2col buffer or nullptr (recompute
-/// from the input's current data). The three scratch pointers are nullable:
-/// null falls back to workspace vectors (eager mode); non-null are
-/// planner-assigned slabs — packt n*ck2*ohow, dcols_all n*ck2*ohow and
-/// packdy_all n*oc*ohow floats (per-image slices, dcols re-zeroed here).
-void ConvBackwardBody(const ConvShape& s, uint64_t conv_flops, TensorImpl* o,
-                      TensorImpl* ix, TensorImpl* iw, TensorImpl* ib,
-                      const float* cols, float* packt_buf, float* dcols_all,
-                      float* packdy_all) {
-  CEWS_TRACE_SCOPE("nn.Conv2d.bwd");
-  const Index ck2 = s.ck2(), ohow = s.ohow();
-  const uint64_t t0 = Stopwatch::NowNs();
-  uint64_t bwd_flops = 0;
-  const bool need_dx = ix->requires_grad;
-  const bool need_dw = iw->requires_grad;
-  const bool need_db = ib != nullptr && ib->requires_grad;
-  if (need_dx) ix->EnsureGrad();
-  if (need_dw) iw->EnsureGrad();
-  if (need_db) ib->EnsureGrad();
-  const float* og = o->grad.data();
-
-  // dW = sum_n dY_n * cols_n^T (NT shape: one fresh dot per element,
-  // images accumulated in ascending order) and db = sum over pixels.
-  // Partitioned over output channels: each dW row / db entry has one
-  // owner.
-  if (need_dw || need_db) {
-    if (need_dw) bwd_flops += conv_flops;
-    float* gw = need_dw ? iw->grad.data() : nullptr;
-    float* gb = need_db ? ib->grad.data() : nullptr;
-    ScopedVec packt(need_dw && packt_buf == nullptr ? s.n * ck2 * ohow : 0);
-    float* pt = packt_buf != nullptr ? packt_buf : packt.data();
-    if (need_dw) {
-      ScopedVec recomputed(cols == nullptr ? s.n * ck2 * ohow : 0);
-      const float* pc = cols;
-      if (pc == nullptr) {
-        BatchIm2Col(s, ix->data.data(), recomputed.data());
-        pc = recomputed.data();
-      }
-      PackBatch(s, pc, pt, /*transposed=*/true);
-    }
-    ParallelKernel(s.oc, 2 * s.n * ck2 * ohow, [&](Index o0, Index o1) {
-      // Images ascend in the outer loop; every dW/db element still
-      // receives its per-image contributions in image order, identical
-      // to the channel-outer loop this replaced.
-      for (Index in = 0; in < s.n; ++in) {
-        const float* gbase = og + in * s.oc * ohow;
-        if (need_db) {
-          for (Index io = o0; io < o1; ++io) {
-            const float* grow = gbase + io * ohow;
-            float acc = 0.0f;
-            for (Index q = 0; q < ohow; ++q) acc += grow[q];
-            gb[io] += acc;
-          }
-        }
-        if (!need_dw) continue;
-        gemm::NTRows(o0, o1, ck2, ohow, gbase, ohow,
-                     pt + in * ck2 * ohow, gw, ck2);
-      }
-    });
-  }
-
-  // dX_n = col2im(W^T * dY_n), partitioned over images. The W^T product
-  // is NN-shaped: dcols rows accumulate channel-ascending.
-  if (need_dx) {
-    bwd_flops += conv_flops;
-    const float* pw = iw->data.data();
-    float* gx = ix->grad.data();
-    ParallelKernel(s.n, 2 * s.oc * ck2 * ohow, [&](Index n0, Index n1) {
-      for (Index in = n0; in < n1; ++in) {
-        ScopedVec dcols_local(dcols_all == nullptr ? ck2 * ohow : 0);
-        ScopedVec packdy_local(packdy_all == nullptr ? s.oc * ohow : 0);
-        float* dcols = dcols_all != nullptr ? dcols_all + in * ck2 * ohow
-                                            : dcols_local.data();
-        float* packdy = packdy_all != nullptr ? packdy_all + in * s.oc * ohow
-                                              : packdy_local.data();
-        // NNRows accumulates into dcols; workspace vectors arrive zeroed,
-        // arena slices must be re-zeroed per run. packdy is fully
-        // overwritten by the pack.
-        if (dcols_all != nullptr) std::fill(dcols, dcols + ck2 * ohow, 0.0f);
-        gemm::PackNN(s.oc, ohow, og + in * s.oc * ohow, ohow, packdy);
-        gemm::NNRows(0, ck2, ohow, s.oc, pw, 1, ck2, packdy, dcols, ohow);
-        Col2ImAccum(s, dcols, gx + in * s.c * s.h * s.w);
-      }
-    });
-  }
-  KernelMetrics& metrics = Conv2dMetrics();
-  metrics.bwd_flops->Add(bwd_flops);
-  metrics.bwd_ns->Add(Stopwatch::NowNs() - t0);
-}
-
-}  // namespace
-
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
               int stride, int padding) {
   CEWS_CHECK_EQ(x.ndim(), 4);
   CEWS_CHECK_EQ(w.ndim(), 4);
   CEWS_CHECK_GE(stride, 1);
   CEWS_CHECK_GE(padding, 0);
-  ConvShape s;
-  s.n = x.dim(0), s.c = x.dim(1), s.h = x.dim(2), s.w = x.dim(3);
-  s.oc = w.dim(0), s.kh = w.dim(2), s.kw = w.dim(3);
-  s.stride = stride, s.padding = padding;
-  CEWS_CHECK_EQ(w.dim(1), s.c);
+  CEWS_CHECK_EQ(w.dim(1), x.dim(1));
   if (bias.defined()) {
     CEWS_CHECK_EQ(bias.ndim(), 1);
-    CEWS_CHECK_EQ(bias.dim(0), s.oc);
+    CEWS_CHECK_EQ(bias.dim(0), w.dim(0));
   }
-  s.oh = (s.h + 2 * padding - s.kh) / stride + 1;
-  s.ow = (s.w + 2 * padding - s.kw) / stride + 1;
-  CEWS_CHECK_GE(s.oh, 1);
-  CEWS_CHECK_GE(s.ow, 1);
-  const Index ck2 = s.ck2(), ohow = s.ohow();
+  CEWS_CHECK_GE(x.dim(2) + 2 * padding, w.dim(2));
+  CEWS_CHECK_GE(x.dim(3) + 2 * padding, w.dim(3));
+  auto plan = std::make_shared<const conv::Plan>(
+      x.dim(0), x.dim(1), x.dim(2), x.dim(3), w.dim(0), w.dim(2), w.dim(3),
+      stride, padding);
+  const conv::Plan& s = *plan;
 
-  // FLOPs of one batched im2col product: multiply + add per (image, output
-  // channel, patch row, output pixel). Forward and each backward product
-  // share this cost.
+  // FLOPs of one batched conv product: multiply + add per (image, output
+  // channel, tap, output pixel). Forward and each backward product share
+  // this cost.
   const uint64_t conv_flops =
-      2ull * static_cast<uint64_t>(s.n * s.oc * ck2 * ohow);
+      2ull * static_cast<uint64_t>(s.n * s.oc * s.ck2() * s.ohow());
 
   const bool rec = graph::Recording();
   Tensor r = NewResult({s.n, s.oc, s.oh, s.ow}, {x, w, bias});
   const bool track = Tracking(r);
-  TensorImpl* o = r.impl().get();
-  TensorImpl* xi = x.impl().get();
-  TensorImpl* wi = w.impl().get();
-  TensorImpl* bi = bias.defined() ? bias.impl().get() : nullptr;
+  const bool need_dx = track && x.requires_grad();
+  const bool need_dw = track && w.requires_grad();
+  const bool need_db = track && bias.defined() && bias.requires_grad();
 
-  if (rec) {
-    // Graph path: all scratch (forward and backward) is planner-managed.
-    // cols is kSpan when the backward will read it for dW; packed panels and
-    // gradient scratch are single-phase.
-    auto cols = graph::AllocBuf(
-        s.n * ck2 * ohow,
-        track && wi->requires_grad ? BufLife::kSpan : BufLife::kFwd);
-    auto packed = graph::AllocBuf(s.n * ck2 * ohow, BufLife::kFwd);
-    std::shared_ptr<OpBuf> packt, dcols_all, packdy_all;
-    if (track && wi->requires_grad) {
-      packt = graph::AllocBuf(s.n * ck2 * ohow, BufLife::kBwd);
-    }
-    if (track && xi->requires_grad) {
-      dcols_all = graph::AllocBuf(s.n * ck2 * ohow, BufLife::kBwd);
-      packdy_all = graph::AllocBuf(s.n * s.oc * ohow, BufLife::kBwd);
-    }
-    auto fwd = [o, xi, wi, bi, s, conv_flops, cols, packed]() {
-      CEWS_TRACE_SCOPE("nn.Conv2d");
-      const uint64_t t0 = Stopwatch::NowNs();
-      ConvForwardBody(s, xi->data.data(), wi->data.data(),
-                      bi != nullptr ? bi->data.data() : nullptr, cols->data(),
-                      packed->data(), o->data.data());
-      KernelMetrics& metrics = Conv2dMetrics();
-      metrics.calls->Increment();
-      metrics.fwd_flops->Add(conv_flops);
-      metrics.fwd_ns->Add(Stopwatch::NowNs() - t0);
-    };
-    fwd();
-    graph::Record(r, {x, w, bias}, fwd);
-    if (track) {
-      auto ix = x.impl();
-      auto iw = w.impl();
-      auto ib = bias.defined() ? bias.impl() : std::shared_ptr<TensorImpl>();
-      r.impl()->backward_fn = [o, ix, iw, ib, s, conv_flops, cols, packt,
-                               dcols_all, packdy_all]() {
-        ConvBackwardBody(s, conv_flops, o, ix.get(), iw.get(), ib.get(),
-                         cols->data(),
-                         packt ? packt->data() : nullptr,
-                         dcols_all ? dcols_all->data() : nullptr,
-                         packdy_all ? packdy_all->data() : nullptr);
-      };
-    }
-    return r;
-  }
-
-  // Eager path. The cols buffer is shared so that, when the cache is on,
-  // the backward closure can reuse it for dW instead of re-unfolding x.
-  CEWS_TRACE_SCOPE("nn.Conv2d");
-  const uint64_t fwd_t0 = Stopwatch::NowNs();
-  auto cols = std::make_shared<ScopedVec>(s.n * ck2 * ohow);
-  {
-    ScopedVec packed(s.n * ck2 * ohow);
-    ConvForwardBody(s, x.data(), w.data(),
-                    bias.defined() ? bias.data() : nullptr, cols->data(),
-                    packed.data(), o->data.data());
-  }
-  {
+  // Scratch is planner-managed in graph mode and comes from the workspace in
+  // eager mode. The padded input copy is written by forward and, when dW is
+  // wanted, read again by backward.
+  const Index pad_floats = s.PaddedFloats();
+  auto xpad = rec ? graph::AllocBuf(pad_floats,
+                                    need_dw ? BufLife::kSpan : BufLife::kFwd)
+                  : graph::LocalBuf(pad_floats);
+  std::shared_ptr<OpBuf> fwd_buf =
+      rec ? graph::AllocBuf(s.ForwardScratchFloats(), BufLife::kFwd) : nullptr;
+  auto fwd = [o = r.impl().get(), xi = x.impl().get(), wi = w.impl().get(),
+              bi = bias.defined() ? bias.impl().get() : nullptr, plan, xpad,
+              fwd_buf, conv_flops]() {
+    CEWS_TRACE_SCOPE("nn.Conv2d");
+    const uint64_t t0 = Stopwatch::NowNs();
+    ScopedVec local(fwd_buf ? 0 : plan->ForwardScratchFloats());
+    conv::Forward(*plan, xi->data.data(), wi->data.data(),
+                  bi != nullptr ? bi->data.data() : nullptr, xpad->data(),
+                  fwd_buf ? fwd_buf->data() : local.data(), o->data.data());
     KernelMetrics& metrics = Conv2dMetrics();
     metrics.calls->Increment();
     metrics.fwd_flops->Add(conv_flops);
-    metrics.fwd_ns->Add(Stopwatch::NowNs() - fwd_t0);
-  }
+    metrics.fwd_ns->Add(Stopwatch::NowNs() - t0);
+  };
+  fwd();
+  graph::Record(r, {x, w, bias}, fwd);
+  if (!track) return r;
 
-  if (track) {
-    auto ix = x.impl();
-    auto iw = w.impl();
-    auto ib = bias.defined() ? bias.impl() : std::shared_ptr<TensorImpl>();
-    std::shared_ptr<ScopedVec> cached;
-    if (ConvColsCacheEnabled()) cached = cols;
-    r.impl()->backward_fn = [o, ix, iw, ib, s, conv_flops, cached]() {
-      ConvBackwardBody(s, conv_flops, o, ix.get(), iw.get(), ib.get(),
-                       cached ? cached->data() : nullptr, nullptr, nullptr,
-                       nullptr);
-    };
-  }
+  const Index dw_floats =
+      need_dw || need_db ? s.WeightGradScratchFloats() : 0;
+  const Index bwd_floats =
+      dw_floats + (need_dx ? s.InputGradScratchFloats() : 0);
+  std::shared_ptr<OpBuf> bwd_buf =
+      rec ? graph::AllocBuf(bwd_floats, BufLife::kBwd) : nullptr;
+  std::shared_ptr<OpBuf> xpad_bwd = need_dw ? xpad : nullptr;
+  r.impl()->backward_fn = [o = r.impl().get(), ix = x.impl(), iw = w.impl(),
+                           ib = bias.defined() ? bias.impl()
+                                               : std::shared_ptr<TensorImpl>(),
+                           plan, xpad_bwd, bwd_buf, dw_floats, bwd_floats,
+                           need_dx, need_dw, need_db, conv_flops]() {
+    CEWS_TRACE_SCOPE("nn.Conv2d.bwd");
+    const uint64_t t0 = Stopwatch::NowNs();
+    ScopedVec local(bwd_buf ? 0 : bwd_floats);
+    float* scratch = bwd_buf ? bwd_buf->data() : local.data();
+    const float* dy = o->grad.data();
+    uint64_t bwd_flops = 0;
+    if (need_dw || need_db) {
+      if (need_dw) iw->EnsureGrad();
+      if (need_db) ib->EnsureGrad();
+      conv::WeightGrad(*plan, need_dw ? xpad_bwd->data() : nullptr, dy,
+                       need_dw ? iw->grad.data() : nullptr,
+                       need_db ? ib->grad.data() : nullptr, scratch);
+      if (need_dw) bwd_flops += conv_flops;
+    }
+    if (need_dx) {
+      ix->EnsureGrad();
+      conv::InputGrad(*plan, iw->data.data(), dy, ix->grad.data(),
+                      scratch + dw_floats);
+      bwd_flops += conv_flops;
+    }
+    KernelMetrics& metrics = Conv2dMetrics();
+    metrics.bwd_flops->Add(bwd_flops);
+    metrics.bwd_ns->Add(Stopwatch::NowNs() - t0);
+  };
   return r;
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <mutex>
 
 #include "obs/metrics.h"
 
@@ -17,8 +18,9 @@ constexpr int kNumBuckets = 34;
 
 /// Retention caps. Small buckets hold the per-step activation population of
 /// a trainer (hundreds of tensors die together at tape teardown); large
-/// buckets hold a handful of im2col/pack panels. Beyond the cap a recycle
-/// becomes a free, bounding arena growth under pathological churn.
+/// buckets hold a handful of padded conv inputs and pack panels. Beyond the
+/// cap a recycle becomes a free, bounding arena growth under pathological
+/// churn.
 constexpr size_t kSmallBucketFloats = size_t{1} << 14;  // 64 KiB
 constexpr size_t kSmallBucketCap = 512;
 constexpr size_t kLargeBucketCap = 16;
@@ -57,18 +59,56 @@ int CeilBucket(size_t n) {
 /// Largest b with 2^b <= cap (bucket a chunk of that capacity serves).
 int FloorBucket(size_t cap) { return std::bit_width(cap) - 1; }
 
-/// One thread's freelists. Only ever touched by its owning thread.
+using Buckets = std::vector<std::vector<float>>[kNumBuckets];
+
+/// Bytes of every chunk in `buckets`.
+int64_t BucketBytes(const Buckets& buckets) {
+  int64_t bytes = 0;
+  for (const auto& bucket : buckets) {
+    for (const auto& v : bucket) {
+      bytes += static_cast<int64_t>(v.capacity() * sizeof(float));
+    }
+  }
+  return bytes;
+}
+
+/// Chunks of arenas whose thread has exited. Retiring frees nothing, so a
+/// thread's exit (and the join waiting on it) never pays for returning its
+/// chunks to the allocator, and a thread that replaces it starts warm.
+/// Retired chunks stay counted in bytes_in_use. An arena adopts from here
+/// whenever its own bucket is empty, so a retired chunk is reused before any
+/// new allocation of its size, and no arena takes more than it asks for.
+struct RetiredList {
+  std::mutex mu;
+  Buckets buckets;  // guarded by mu
+};
+
+RetiredList& Retired() {
+  static RetiredList* r = new RetiredList();  // outlives every arena
+  return *r;
+}
+
+/// Pops a retired chunk from bucket `b`; empty when there is none.
+std::vector<float> AdoptRetired(int b) {
+  RetiredList& r = Retired();
+  std::lock_guard<std::mutex> lock(r.mu);
+  if (r.buckets[b].empty()) return {};
+  std::vector<float> v = std::move(r.buckets[b].back());
+  r.buckets[b].pop_back();
+  return v;
+}
+
+/// One thread's freelists. Only ever touched by its owning thread; handed
+/// to the retired list when the thread exits.
 struct Arena {
-  std::vector<std::vector<float>> buckets[kNumBuckets];
+  Buckets buckets;
 
   ~Arena() {
-    int64_t freed = 0;
-    for (auto& bucket : buckets) {
-      for (auto& v : bucket) {
-        freed += static_cast<int64_t>(v.capacity() * sizeof(float));
-      }
+    RetiredList& r = Retired();
+    std::lock_guard<std::mutex> lock(r.mu);
+    for (int b = 0; b < kNumBuckets; ++b) {
+      for (auto& v : buckets[b]) r.buckets[b].push_back(std::move(v));
     }
-    if (freed > 0) AddRetainedBytes(-freed);
   }
 };
 
@@ -94,9 +134,16 @@ std::vector<float> Workspace::AcquireVec(Index n) {
   if (want == 0) return {};  // nothing to recycle or count
   Arena* arena = ThisArena();
   const int b = CeilBucket(want);
-  if (arena != nullptr && b < kNumBuckets && !arena->buckets[b].empty()) {
-    std::vector<float> v = std::move(arena->buckets[b].back());
-    arena->buckets[b].pop_back();
+  std::vector<float> v;
+  if (arena != nullptr && b < kNumBuckets) {
+    if (!arena->buckets[b].empty()) {
+      v = std::move(arena->buckets[b].back());
+      arena->buckets[b].pop_back();
+    } else {
+      v = AdoptRetired(b);
+    }
+  }
+  if (v.capacity() > 0) {
     AddRetainedBytes(-static_cast<int64_t>(v.capacity() * sizeof(float)));
     g_reuse_hits.fetch_add(1, std::memory_order_relaxed);
     Metrics().reuse_hits->Increment();
@@ -106,7 +153,6 @@ std::vector<float> Workspace::AcquireVec(Index n) {
   }
   g_misses.fetch_add(1, std::memory_order_relaxed);
   Metrics().misses->Increment();
-  std::vector<float> v;
   // Reserve the full bucket so the chunk's capacity files back into bucket
   // `b` on Recycle — the same bucket this size acquires from. A plain
   // vector(want) would have capacity `want`, land one bucket *down*, and
@@ -147,14 +193,17 @@ Workspace::Stats Workspace::GlobalStats() {
 }
 
 void Workspace::TrimThisThread() {
-  Arena* arena = ThisArena();
-  if (arena == nullptr) return;
   int64_t freed = 0;
-  for (auto& bucket : arena->buckets) {
-    for (auto& v : bucket) {
-      freed += static_cast<int64_t>(v.capacity() * sizeof(float));
-    }
-    bucket.clear();
+  Arena* arena = ThisArena();
+  if (arena != nullptr) {
+    freed += BucketBytes(arena->buckets);
+    for (auto& bucket : arena->buckets) bucket.clear();
+  }
+  {
+    RetiredList& r = Retired();
+    std::lock_guard<std::mutex> lock(r.mu);
+    freed += BucketBytes(r.buckets);
+    for (auto& bucket : r.buckets) bucket.clear();
   }
   if (freed > 0) AddRetainedBytes(-freed);
 }

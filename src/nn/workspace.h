@@ -1,8 +1,8 @@
 // cews::nn — per-thread transient-buffer workspace.
 //
 // The NN hot path (MatMul, Conv2d, and every elementwise op) used to
-// heap-allocate a fresh std::vector<float> for each output, each im2col
-// expansion, and each packed GEMM panel, on every forward *and* backward
+// heap-allocate a fresh std::vector<float> for each output, each conv
+// scratch buffer, and each packed GEMM panel, on every forward *and* backward
 // call. The workspace turns those into recycled acquisitions: each thread
 // owns a size-bucketed arena of float vectors, Acquire pops a vector whose
 // capacity covers the request (power-of-two buckets), and Recycle pushes the
@@ -12,12 +12,18 @@
 //
 // Ownership rules:
 //  * Arenas are strictly per-thread (thread_local): Acquire and Recycle
-//    always operate on the *calling* thread's arena, so no locks are needed
-//    and TSan sees no shared mutable state. A vector acquired on thread A
-//    and recycled on thread B simply migrates A→B; totals are global.
+//    always operate on the *calling* thread's arena, so the hot path takes
+//    no locks and TSan sees no shared mutable state. A vector acquired on
+//    thread A and recycled on thread B simply migrates A→B; totals are
+//    global.
 //  * Recycling is optional. An acquired vector is an ordinary
 //    std::vector<float>; letting it die normally just frees the memory
 //    (and forfeits the reuse).
+//  * A thread's arena is retired when the thread exits: its chunks move to
+//    one process-wide list (under a mutex) without being freed, and any
+//    arena whose own bucket is empty adopts from that list before it
+//    allocates. A join therefore never waits on the exiting thread's frees,
+//    and the next thread reuses the chunks.
 //  * After a thread's arena is torn down (thread exit / process teardown),
 //    Recycle degrades to a plain free and Acquire to a plain allocation.
 //
@@ -27,7 +33,7 @@
 //  * workspace.recycles      — vectors returned to an arena
 //  * workspace.evictions     — recycles dropped because a bucket was full
 //  * workspace.bytes_in_use  — gauge: bytes currently retained in freelists
-//                              across all live arenas
+//                              across all arenas and the retired list
 #ifndef CEWS_NN_WORKSPACE_H_
 #define CEWS_NN_WORKSPACE_H_
 
@@ -61,12 +67,13 @@ class Workspace {
     uint64_t misses = 0;
     uint64_t recycles = 0;
     uint64_t evictions = 0;
-    int64_t bytes_in_use = 0;  ///< Freelist bytes across all live arenas.
+    int64_t bytes_in_use = 0;  ///< Freelist bytes, retired ones included.
   };
   static Stats GlobalStats();
 
-  /// Drops every chunk retained by the calling thread's arena (tests that
-  /// want a cold arena). Other threads' arenas are untouched.
+  /// Drops every chunk retained by the calling thread's arena and every
+  /// retired chunk (tests that want a cold arena). Other live threads'
+  /// arenas are untouched.
   static void TrimThisThread();
 };
 
@@ -80,7 +87,7 @@ class Workspace {
 inline constexpr std::size_t kPanelAlignment = 64;
 
 /// RAII scratch buffer: AcquireVec on construction, Recycle on destruction.
-/// Move-only; the typical holder for im2col columns, packed GEMM panels and
+/// Move-only; the typical holder for conv scratch, packed GEMM panels and
 /// per-image scratch inside kernel bodies.
 class ScopedVec {
  public:

@@ -1,14 +1,14 @@
-// Packed GEMM kernels and the transient-buffer workspace.
+// Packed GEMM kernels and the steady-state workspace churn of the kernels.
 //
 // The packed kernels (nn/gemm.h) promise bitwise identity with the retained
 // pre-packing reference kernels at any thread count, including ragged
 // shapes, degenerate dimensions and transposed A-reads — that contract is
-// what lets ops.cc route every hot product through them without perturbing
-// the PR-1 determinism guarantees. The workspace promises that steady-state
-// kernel calls never touch the allocator; the reuse counters are the proof.
+// what lets ops.cc route every MatMul product through them without
+// perturbing the determinism guarantees. The workspace promises that
+// steady-state kernel calls never touch the allocator; the reuse counters
+// are the proof (the workspace itself is tested in nn_workspace_test.cc).
 #include "nn/gemm.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -127,66 +127,6 @@ TEST(GemmPackedTest, NTBitwiseMatchesReferenceAcrossShapesAndThreads) {
   runtime::SetGlobalPoolThreads(1);
 }
 
-TEST(WorkspaceTest, RecycleThenAcquireReusesStorageZeroFilled) {
-  Workspace::TrimThisThread();
-  const Workspace::Stats s0 = Workspace::GlobalStats();
-  std::vector<float> v = Workspace::AcquireVec(1000);  // non-pow2 on purpose
-  ASSERT_EQ(v.size(), 1000u);
-  for (float& f : v) f = 3.5f;
-  Workspace::Recycle(std::move(v));
-  std::vector<float> w = Workspace::AcquireVec(1000);
-  const Workspace::Stats s1 = Workspace::GlobalStats();
-  EXPECT_EQ(s1.misses, s0.misses + 1);
-  EXPECT_EQ(s1.reuse_hits, s0.reuse_hits + 1);
-  EXPECT_EQ(s1.recycles, s0.recycles + 1);
-  ASSERT_EQ(w.size(), 1000u);
-  for (float f : w) ASSERT_EQ(f, 0.0f);  // recycled storage comes back zeroed
-}
-
-TEST(WorkspaceTest, SmallerRequestReusesLargerChunk) {
-  Workspace::TrimThisThread();
-  Workspace::Recycle(std::vector<float>(512));
-  const Workspace::Stats s0 = Workspace::GlobalStats();
-  std::vector<float> v = Workspace::AcquireVec(300);  // same bucket as 512
-  const Workspace::Stats s1 = Workspace::GlobalStats();
-  EXPECT_EQ(s1.reuse_hits, s0.reuse_hits + 1);
-  EXPECT_EQ(v.size(), 300u);
-  EXPECT_GE(v.capacity(), 512u);
-}
-
-TEST(WorkspaceTest, AcquireZeroIsFreeAndUncounted) {
-  const Workspace::Stats s0 = Workspace::GlobalStats();
-  std::vector<float> v = Workspace::AcquireVec(0);
-  EXPECT_TRUE(v.empty());
-  Workspace::Recycle(std::move(v));
-  const Workspace::Stats s1 = Workspace::GlobalStats();
-  EXPECT_EQ(s1.misses, s0.misses);
-  EXPECT_EQ(s1.reuse_hits, s0.reuse_hits);
-  EXPECT_EQ(s1.recycles, s0.recycles);
-}
-
-TEST(WorkspaceTest, ScopedVecRecyclesOnDestruction) {
-  Workspace::TrimThisThread();
-  const Workspace::Stats s0 = Workspace::GlobalStats();
-  { ScopedVec v(256); EXPECT_EQ(v.size(), 256); }
-  { ScopedVec v(256); }  // must be served from the recycled chunk
-  const Workspace::Stats s1 = Workspace::GlobalStats();
-  EXPECT_EQ(s1.misses, s0.misses + 1);
-  EXPECT_EQ(s1.reuse_hits, s0.reuse_hits + 1);
-  EXPECT_EQ(s1.recycles, s0.recycles + 2);
-}
-
-TEST(WorkspaceTest, TrimReleasesRetainedBytes) {
-  Workspace::Recycle(std::vector<float>(4096));
-  EXPECT_GT(Workspace::GlobalStats().bytes_in_use, 0);
-  Workspace::TrimThisThread();
-  // Other threads' arenas may retain bytes, but this thread's 4096-float
-  // chunk is gone; a re-acquire must miss.
-  const Workspace::Stats s0 = Workspace::GlobalStats();
-  std::vector<float> v = Workspace::AcquireVec(4096);
-  EXPECT_EQ(Workspace::GlobalStats().misses, s0.misses + 1);
-}
-
 /// One synthetic "training step" over both hot kernels: MatMul and Conv2d
 /// forward + backward, with fresh output/grad/scratch buffers each time.
 void KernelStep(Tensor& a, Tensor& b, Tensor& x, Tensor& w, Tensor& bias) {
@@ -217,52 +157,6 @@ TEST(WorkspaceChurnTest, KernelStepsAreAllocationFreeInSteadyState) {
   const Workspace::Stats s1 = Workspace::GlobalStats();
   EXPECT_EQ(s1.misses, s0.misses) << "steady-state step hit the allocator";
   EXPECT_GT(s1.reuse_hits, s0.reuse_hits);
-}
-
-TEST(WorkspaceChurnTest, ConvCacheOffStaysAllocationFreeToo) {
-  runtime::SetGlobalPoolThreads(1);
-  setenv("CEWS_CONV_CACHE", "0", 1);
-  Tensor a = Tensor::FromData({16, 48}, RandomData(16 * 48, 3), true);
-  Tensor b = Tensor::FromData({48, 24}, RandomData(48 * 24, 5), true);
-  Tensor x = Tensor::FromData({2, 3, 10, 10}, RandomData(600, 7), true);
-  Tensor w = Tensor::FromData({4, 3, 3, 3}, RandomData(108, 9), true);
-  Tensor bias = Tensor::FromData({4}, RandomData(4, 11), true);
-  for (int i = 0; i < 3; ++i) KernelStep(a, b, x, w, bias);
-  const Workspace::Stats s0 = Workspace::GlobalStats();
-  for (int i = 0; i < 5; ++i) KernelStep(a, b, x, w, bias);
-  const Workspace::Stats s1 = Workspace::GlobalStats();
-  unsetenv("CEWS_CONV_CACHE");
-  EXPECT_EQ(s1.misses, s0.misses);
-}
-
-struct ConvRun {
-  std::vector<float> out;
-  std::vector<float> dx, dw, db;
-};
-
-ConvRun RunConvForwardBackward() {
-  Tensor x = Tensor::FromData({2, 3, 8, 8}, RandomData(384, 51), true);
-  Tensor w = Tensor::FromData({5, 3, 3, 3}, RandomData(135, 53), true);
-  Tensor bias = Tensor::FromData({5}, RandomData(5, 57), true);
-  Tensor y = Conv2d(x, w, bias, /*stride=*/1, /*padding=*/1);
-  Mean(Square(y)).Backward();
-  auto vec = [](const float* p, Index n) {
-    return std::vector<float>(p, p + n);
-  };
-  return {vec(y.data(), y.numel()), vec(x.grad(), x.numel()),
-          vec(w.grad(), w.numel()), vec(bias.grad(), bias.numel())};
-}
-
-TEST(ConvColsCacheTest, DisablingCacheIsBitwiseNeutral) {
-  runtime::SetGlobalPoolThreads(1);
-  const ConvRun cached = RunConvForwardBackward();
-  setenv("CEWS_CONV_CACHE", "0", 1);
-  const ConvRun recomputed = RunConvForwardBackward();
-  unsetenv("CEWS_CONV_CACHE");
-  ExpectBitwiseEqual(cached.out, recomputed.out, "conv out");
-  ExpectBitwiseEqual(cached.dx, recomputed.dx, "conv dx");
-  ExpectBitwiseEqual(cached.dw, recomputed.dw, "conv dw");
-  ExpectBitwiseEqual(cached.db, recomputed.db, "conv db");
 }
 
 }  // namespace
