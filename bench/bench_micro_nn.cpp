@@ -144,16 +144,19 @@ void BM_SoftmaxLastDim(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxLastDim);
 
-void BM_LayerNorm(benchmark::State& state) {
+void BM_LayerNormRelu(benchmark::State& state) {
   Rng rng(5);
-  nn::LayerNorm ln(512);
+  nn::LayerNormRelu ln(512);
   nn::Tensor x = nn::Tensor::Zeros({16, 512});
+  for (nn::Index i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.Uniform(-2, 2));
+  }
   nn::NoGradGuard no_grad;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ln.Forward(x));
   }
 }
-BENCHMARK(BM_LayerNorm);
+BENCHMARK(BM_LayerNormRelu);
 
 agents::PolicyNetConfig BenchNet(int grid) {
   agents::PolicyNetConfig config;

@@ -29,9 +29,9 @@ CnnTrunk::CnnTrunk(const CnnTrunkConfig& config, cews::Rng& rng)
   const nn::Index s2 = ConvOut(s1, 2);
   const nn::Index s3 = ConvOut(s2, 2);
   CEWS_CHECK_GE(s3, 1);
-  ln1_ = std::make_unique<nn::LayerNorm>(config.conv1_channels * s1 * s1);
-  ln2_ = std::make_unique<nn::LayerNorm>(config.conv2_channels * s2 * s2);
-  ln3_ = std::make_unique<nn::LayerNorm>(config.conv3_channels * s3 * s3);
+  ln1_ = std::make_unique<nn::LayerNormRelu>(config.conv1_channels * s1 * s1);
+  ln2_ = std::make_unique<nn::LayerNormRelu>(config.conv2_channels * s2 * s2);
+  ln3_ = std::make_unique<nn::LayerNormRelu>(config.conv3_channels * s3 * s3);
   flat_after_conv_ = config.conv3_channels * s3 * s3;
   fc_ = std::make_unique<nn::Linear>(flat_after_conv_, config.feature_dim,
                                      rng);
@@ -40,16 +40,16 @@ CnnTrunk::CnnTrunk(const CnnTrunkConfig& config, cews::Rng& rng)
 nn::Tensor CnnTrunk::Forward(const nn::Tensor& x) const {
   CEWS_CHECK_EQ(x.ndim(), 4);
   const nn::Index n = x.dim(0);
-  // Each conv block's ReLU is a gradient-checkpoint boundary (nn/graph.h):
-  // under CEWS_NN_GRAPH=1 + CEWS_NN_CKPT=1 the big pre-flatten activations
-  // between boundaries are dropped after forward and recomputed during
-  // backward. Identity everywhere else.
+  // Each conv block's fused LayerNorm + ReLU is a gradient-checkpoint
+  // boundary (nn/graph.h): under CEWS_NN_GRAPH=1 + CEWS_NN_CKPT=1 the big
+  // pre-flatten activations between boundaries are dropped after forward
+  // and recomputed during backward. Identity everywhere else.
   nn::Tensor h = conv1_->Forward(x);
-  h = nn::Checkpoint(nn::Relu(ln1_->Forward(h)));
+  h = nn::Checkpoint(ln1_->Forward(h));
   h = conv2_->Forward(h);
-  h = nn::Checkpoint(nn::Relu(ln2_->Forward(h)));
+  h = nn::Checkpoint(ln2_->Forward(h));
   h = conv3_->Forward(h);
-  h = nn::Checkpoint(nn::Relu(ln3_->Forward(h)));
+  h = nn::Checkpoint(ln3_->Forward(h));
   h = nn::Reshape(h, {n, flat_after_conv_});
   return nn::Relu(fc_->Forward(h));
 }

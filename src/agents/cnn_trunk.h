@@ -39,7 +39,7 @@ class CnnTrunk : public nn::Module {
  private:
   CnnTrunkConfig config_;
   std::unique_ptr<nn::Conv2dLayer> conv1_, conv2_, conv3_;
-  std::unique_ptr<nn::LayerNorm> ln1_, ln2_, ln3_;
+  std::unique_ptr<nn::LayerNormRelu> ln1_, ln2_, ln3_;
   std::unique_ptr<nn::Linear> fc_;
   nn::Index flat_after_conv_ = 0;
 };

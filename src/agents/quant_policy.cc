@@ -24,7 +24,7 @@ namespace gemm = nn::gemm;
 /// (mirrors cnn_trunk.cc).
 Index ConvOut(Index in, int stride) { return (in + 2 * 1 - 3) / stride + 1; }
 
-/// LayerNorm epsilon of nn::LayerNorm (ops.cc LayerNormOp default).
+/// LayerNorm epsilon of nn::LayerNormRelu (the LayerNormReluOp default).
 constexpr float kLnEps = 1e-5f;
 
 /// Geometry of one conv stage of the trunk (3x3, padding 1).
@@ -67,8 +67,10 @@ void Im2Col3x3(const StageShape& s, const float* img, float* cols) {
 /// One conv-LN-ReLU block over the whole batch, int8 GEMM per image:
 /// im2col -> per-output-pixel activation quantize -> pack -> Int8DotRows
 /// with the quantized conv weight on the A side, then fp32 LayerNorm over
-/// the image's oc*oh*oh features (double mean/var, LayerNormBody semantics)
-/// fused with ReLU. Images are independent, so parallelizing over them is
+/// the image's oc*oh*oh features fused with ReLU: the forward of the
+/// nn/layer_norm.h order contract (double mean/var), except that its
+/// multiply-adds are left to the compiler's contraction here rather than
+/// pinned. Images are independent, so parallelizing over them is
 /// partition-invariant; the per-image work is bitwise-fixed.
 void ConvLnReluStage(const StageShape& s, Index batch,
                      const QuantizedTensor& wq, const float* bias,

@@ -54,17 +54,19 @@ std::vector<Tensor> Conv2dLayer::Parameters() const {
   return {weight_, bias_};
 }
 
-LayerNorm::LayerNorm(Index features) {
+LayerNormRelu::LayerNormRelu(Index features) {
   CEWS_CHECK_GT(features, 0);
   gamma_ = Tensor::Full({features}, 1.0f, /*requires_grad=*/true);
   beta_ = Tensor::Zeros({features}, /*requires_grad=*/true);
 }
 
-Tensor LayerNorm::Forward(const Tensor& x) const {
-  return LayerNormOp(x, gamma_, beta_);
+Tensor LayerNormRelu::Forward(const Tensor& x) const {
+  return LayerNormReluOp(x, gamma_, beta_);
 }
 
-std::vector<Tensor> LayerNorm::Parameters() const { return {gamma_, beta_}; }
+std::vector<Tensor> LayerNormRelu::Parameters() const {
+  return {gamma_, beta_};
+}
 
 Embedding::Embedding(Index vocab, Index dim, cews::Rng& rng, bool trainable)
     : trainable_(trainable) {

@@ -67,12 +67,13 @@ class Conv2dLayer : public Module {
   int padding_;
 };
 
-/// Layer normalization over all non-batch dimensions (the paper adds one
-/// after every CNN layer, Section V-B).
-class LayerNorm : public Module {
+/// Layer normalization over all non-batch dimensions followed by ReLU, as
+/// one fused op (the paper adds a LayerNorm after every CNN layer, Section
+/// V-B, and the trunk activates each with ReLU).
+class LayerNormRelu : public Module {
  public:
   /// `features` = product of the normalized (non-batch) dims.
-  explicit LayerNorm(Index features);
+  explicit LayerNormRelu(Index features);
 
   Tensor Forward(const Tensor& x) const;
   std::vector<Tensor> Parameters() const override;

@@ -10,6 +10,7 @@
 #include "nn/conv.h"
 #include "nn/gemm.h"
 #include "nn/graph.h"
+#include "nn/layer_norm.h"
 #include "nn/workspace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -72,6 +73,11 @@ KernelMetrics& MatMulMetrics() {
 
 KernelMetrics& Conv2dMetrics() {
   static KernelMetrics* m = new KernelMetrics("nn.conv2d");
+  return *m;
+}
+
+KernelMetrics& LayerNormMetrics() {
+  static KernelMetrics* m = new KernelMetrics("nn.layer_norm");
   return *m;
 }
 
@@ -883,102 +889,71 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   return r;
 }
 
-namespace {
-
-/// One LayerNorm forward sweep: writes the normalized-scaled output `po`
-/// plus the xhat/inv_sigma row statistics the backward consumes.
-void LayerNormBody(Index n, Index f, float eps, const float* px,
-                   const float* pg, const float* pb, float* po, float* xhat,
-                   float* inv_sigma) {
-  for (Index i = 0; i < n; ++i) {
-    const float* row = px + i * f;
-    double mu = 0.0;
-    for (Index j = 0; j < f; ++j) mu += row[j];
-    mu /= static_cast<double>(f);
-    double var = 0.0;
-    for (Index j = 0; j < f; ++j) {
-      const double d = row[j] - mu;
-      var += d * d;
-    }
-    var /= static_cast<double>(f);
-    const float is = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-    inv_sigma[i] = is;
-    for (Index j = 0; j < f; ++j) {
-      const float xh = (row[j] - static_cast<float>(mu)) * is;
-      xhat[i * f + j] = xh;
-      po[i * f + j] = xh * pg[j] + pb[j];
-    }
-  }
-}
-
-}  // namespace
-
-Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                   float eps) {
+Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
+                       const Tensor& beta, float eps) {
   CEWS_CHECK_GE(x.ndim(), 2);
   const Index n = x.dim(0);
+  CEWS_CHECK_GT(n, 0);
   const Index f = x.numel() / n;
   CEWS_CHECK_EQ(gamma.numel(), f);
   CEWS_CHECK_EQ(beta.numel(), f);
   const bool rec = graph::Recording();
   Tensor r = NewResult(x.shape(), {x, gamma, beta});
   const bool track = Tracking(r);
-  // Row statistics live in shared scratch the forward writes and the
-  // backward reads: planner-managed (kSpan) in graph mode, workspace-backed
-  // in eager mode.
-  const BufLife stat_life = track ? BufLife::kSpan : BufLife::kFwd;
-  auto xh = rec ? graph::AllocBuf(x.numel(), stat_life)
-                : graph::LocalBuf(x.numel());
-  auto is = rec ? graph::AllocBuf(n, stat_life) : graph::LocalBuf(n);
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(),
-              gi = gamma.impl().get(), bi = beta.impl().get(), n, f, eps, xh,
-              is]() {
-    LayerNormBody(n, f, eps, xi->data.data(), gi->data.data(),
-                  bi->data.data(), o->data.data(), xh->data(), is->data());
+  const bool need_dx = track && x.requires_grad();
+  const bool need_dg = track && gamma.requires_grad();
+  const bool need_db = track && beta.requires_grad();
+  // FLOPs per element: forward mean add, centred fma, xhat sub + mul and the
+  // affine fma; backward the ReLU mask multiply + add and the xhat recompute,
+  // then fma for dgamma, add for dbeta, and for dx the gamma product, two
+  // row-sum terms and the final sub, fma, mul and add.
+  const uint64_t elems = static_cast<uint64_t>(n * f);
+  const uint64_t fwd_flops = 8 * elems;
+  const uint64_t bwd_flops =
+      elems * (4 + (need_dg ? 2 : 0) + (need_db ? 1 : 0) + (need_dx ? 9 : 0));
+  // The per-row statistics are written by forward and read by backward:
+  // planner-managed (kSpan) in graph mode, workspace-backed in eager mode.
+  const Index stat_floats = layer_norm::StatsFloats(n);
+  auto stats =
+      rec ? graph::AllocBuf(stat_floats, track ? BufLife::kSpan : BufLife::kFwd)
+          : graph::LocalBuf(stat_floats);
+  auto fwd = [o = r.impl().get(), xi = x.impl().get(), gi = gamma.impl().get(),
+              bi = beta.impl().get(), n, f, eps, stats, fwd_flops]() {
+    CEWS_TRACE_SCOPE("nn.LayerNormRelu");
+    const uint64_t t0 = Stopwatch::NowNs();
+    layer_norm::Forward(n, f, eps, xi->data.data(), gi->data.data(),
+                        bi->data.data(), stats->data(), o->data.data());
+    KernelMetrics& metrics = LayerNormMetrics();
+    metrics.calls->Increment();
+    metrics.fwd_flops->Add(fwd_flops);
+    metrics.fwd_ns->Add(Stopwatch::NowNs() - t0);
   };
   fwd();
   graph::Record(r, {x, gamma, beta}, fwd);
-  if (track) {
-    auto o = r.impl().get();
-    auto ix = x.impl();
-    auto ig = gamma.impl();
-    auto ibt = beta.impl();
-    r.impl()->backward_fn = [o, ix, ig, ibt, xh, is, n, f]() {
-      if (ix->requires_grad) ix->EnsureGrad();
-      if (ig->requires_grad) ig->EnsureGrad();
-      if (ibt->requires_grad) ibt->EnsureGrad();
-      const float* xhp = xh->data();
-      const float* isp = is->data();
-      for (Index i = 0; i < n; ++i) {
-        const float* dy = o->grad.data() + i * f;
-        const float* xr = xhp + i * f;
-        if (ig->requires_grad || ibt->requires_grad) {
-          for (Index j = 0; j < f; ++j) {
-            if (ig->requires_grad) ig->grad[j] += dy[j] * xr[j];
-            if (ibt->requires_grad) ibt->grad[j] += dy[j];
-          }
-        }
-        if (ix->requires_grad) {
-          // dx = (g - mean(g) - xhat * mean(g * xhat)) * inv_sigma,
-          // where g = dy * gamma.
-          double mean_g = 0.0, mean_gx = 0.0;
-          for (Index j = 0; j < f; ++j) {
-            const double gj = static_cast<double>(dy[j]) * ig->data[j];
-            mean_g += gj;
-            mean_gx += gj * xr[j];
-          }
-          mean_g /= static_cast<double>(f);
-          mean_gx /= static_cast<double>(f);
-          float* dx = ix->grad.data() + i * f;
-          for (Index j = 0; j < f; ++j) {
-            const double gj = static_cast<double>(dy[j]) * ig->data[j];
-            dx[j] += static_cast<float>((gj - mean_g - xr[j] * mean_gx) *
-                                        isp[i]);
-          }
-        }
-      }
-    };
-  }
+  if (!track) return r;
+
+  const Index bwd_floats = layer_norm::BackwardScratchFloats(f);
+  std::shared_ptr<OpBuf> bwd_buf =
+      rec ? graph::AllocBuf(bwd_floats, BufLife::kBwd) : nullptr;
+  r.impl()->backward_fn = [o = r.impl().get(), ix = x.impl(), ig = gamma.impl(),
+                           ib = beta.impl(), n, f, stats, bwd_buf, bwd_floats,
+                           need_dx, need_dg, need_db, bwd_flops]() {
+    CEWS_TRACE_SCOPE("nn.LayerNormRelu.bwd");
+    const uint64_t t0 = Stopwatch::NowNs();
+    ScopedVec local(bwd_buf ? 0 : bwd_floats);
+    if (need_dx) ix->EnsureGrad();
+    if (need_dg) ig->EnsureGrad();
+    if (need_db) ib->EnsureGrad();
+    layer_norm::Backward(n, f, ix->data.data(), ig->data.data(),
+                         o->data.data(), o->grad.data(), stats->data(),
+                         need_dx ? ix->grad.data() : nullptr,
+                         need_dg ? ig->grad.data() : nullptr,
+                         need_db ? ib->grad.data() : nullptr,
+                         bwd_buf ? bwd_buf->data() : local.data());
+    KernelMetrics& metrics = LayerNormMetrics();
+    metrics.bwd_flops->Add(bwd_flops);
+    metrics.bwd_ns->Add(Stopwatch::NowNs() - t0);
+  };
   return r;
 }
 

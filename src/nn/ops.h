@@ -91,10 +91,11 @@ Tensor Checkpoint(const Tensor& t);
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
               int stride, int padding);
 
-/// Layer normalization over all non-batch dims of x [N, ...]; gamma/beta are
-/// flat [features] where features = numel/N.
-Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                   float eps = 1e-5f);
+/// Layer normalization over all non-batch dims of x [N, ...] followed by
+/// ReLU, in one kernel (nn/layer_norm.h): relu(gamma * xhat + beta), where
+/// gamma/beta are flat [features] and features = numel/N.
+Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
+                       const Tensor& beta, float eps = 1e-5f);
 
 /// Looks up rows of `table` [V, D] at `ids` -> [ids.size(), D].
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<Index>& ids);

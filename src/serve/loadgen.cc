@@ -26,6 +26,7 @@ using SubmitFn =
 /// Latencies and error/shed counts one client or submitter collected.
 struct ClientTally {
   std::vector<uint64_t> latency_ns;
+  std::vector<uint64_t> server_latency_ns;  // ScheduleResponse::latency_ns
   uint64_t batch_size_sum = 0;
   uint64_t completed = 0;
   uint64_t errors = 0;
@@ -49,6 +50,7 @@ void Tally(const ScheduleResponse& response, uint64_t latency_ns,
   ++tally.completed;
   tally.batch_size_sum += static_cast<uint64_t>(response.batch_size);
   tally.latency_ns.push_back(latency_ns);
+  tally.server_latency_ns.push_back(response.latency_ns);
 }
 
 void RunClosedLoopClient(const SubmitFn& submit, const env::Map& map,
@@ -59,6 +61,8 @@ void RunClosedLoopClient(const SubmitFn& submit, const env::Map& map,
   const env::StateEncoder encoder(env::StateEncoderConfig{encoder_grid});
   const bool pre_encode = client_index % 2 == 0;
   tally.latency_ns.reserve(static_cast<size_t>(spec.requests_per_client));
+  tally.server_latency_ns.reserve(
+      static_cast<size_t>(spec.requests_per_client));
 
   for (int r = 0; r < spec.requests_per_client; ++r) {
     ScheduleRequest request;
@@ -156,6 +160,7 @@ void RunOpenLoopSubmitter(const SubmitFn& submit, const env::Map& map,
 
   tally.submitted = in_flight.size();
   tally.latency_ns.reserve(in_flight.size());
+  tally.server_latency_ns.reserve(in_flight.size());
   for (InFlight& flight : in_flight) {
     const ScheduleResponse response = flight.future.get();
     const uint64_t lag_ns = flight.submit_ns > flight.intended_ns
@@ -227,7 +232,7 @@ Result<LoadResult> RunLoadImpl(const SubmitFn& submit, const env::Map& map,
 
   LoadResult result;
   result.wall_seconds = wall_seconds;
-  std::vector<uint64_t> all_latencies;
+  std::vector<uint64_t> all_latencies, server_latencies;
   uint64_t batch_sum = 0;
   uint64_t completed = 0;
   for (const ClientTally& tally : tallies) {
@@ -238,8 +243,12 @@ Result<LoadResult> RunLoadImpl(const SubmitFn& submit, const env::Map& map,
     batch_sum += tally.batch_size_sum;
     all_latencies.insert(all_latencies.end(), tally.latency_ns.begin(),
                          tally.latency_ns.end());
+    server_latencies.insert(server_latencies.end(),
+                            tally.server_latency_ns.begin(),
+                            tally.server_latency_ns.end());
   }
   std::sort(all_latencies.begin(), all_latencies.end());
+  std::sort(server_latencies.begin(), server_latencies.end());
   result.throughput_rps =
       wall_seconds > 0.0 ? static_cast<double>(completed) / wall_seconds
                          : 0.0;
@@ -259,6 +268,7 @@ Result<LoadResult> RunLoadImpl(const SubmitFn& submit, const env::Map& map,
     result.latency_p95_us = PercentileUs(all_latencies, 0.95);
     result.latency_p99_us = PercentileUs(all_latencies, 0.99);
     result.latency_p999_us = PercentileUs(all_latencies, 0.999);
+    result.server_latency_p99_us = PercentileUs(server_latencies, 0.99);
   }
   result.mean_batch =
       completed > 0
@@ -285,19 +295,6 @@ Result<LoadResult> RunLoad(PolicyServer& server, const env::Map& map,
         return server.Submit(std::move(request));
       },
       map, spec, server.net_config().grid);
-}
-
-Result<LoadGenResult> RunClosedLoopLoad(PolicyServer& server,
-                                        const env::Map& map,
-                                        const LoadGenOptions& options) {
-  LoadSpec spec;
-  spec.mode = LoadMode::kClosedLoop;
-  spec.clients = options.clients;
-  spec.requests_per_client = options.requests_per_client;
-  spec.env = options.env;
-  spec.deterministic = options.deterministic;
-  spec.use_masks = options.use_masks;
-  return RunLoad(server, map, spec);
 }
 
 }  // namespace cews::serve

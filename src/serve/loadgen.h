@@ -94,6 +94,12 @@ struct LoadResult {
   double latency_p95_us = 0.0;
   double latency_p99_us = 0.0;
   double latency_p999_us = 0.0;
+  /// Exact p99 of the server-side latency of the same completions
+  /// (ScheduleResponse::latency_ns, enqueue to completion). In closed loop
+  /// this is the interval the server's rolling latency windows record, so
+  /// the two compare like for like; the client-side percentiles above add
+  /// the client's own wake-up delay.
+  double server_latency_p99_us = 0.0;
   /// Mean batched-Forward size over the completions (how well requests
   /// coalesced).
   double mean_batch = 0.0;
@@ -111,28 +117,6 @@ Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
 /// Same load against a standalone single-shard PolicyServer (no routing).
 Result<LoadResult> RunLoad(PolicyServer& server, const env::Map& map,
                            const LoadSpec& spec);
-
-// ---------------------------------------------------------------------------
-// DEPRECATED names, kept as thin wrappers for one release: LoadGenOptions /
-// RunClosedLoopLoad predate the open-loop mode and the Fleet API. New code
-// uses LoadSpec / RunLoad.
-
-/// DEPRECATED: use LoadSpec (mode = kClosedLoop).
-struct LoadGenOptions {
-  int clients = 8;
-  int requests_per_client = 100;
-  env::EnvConfig env;
-  bool deterministic = false;
-  bool use_masks = true;
-};
-
-/// DEPRECATED: use LoadResult (adds shed, p999 and offered_rps).
-using LoadGenResult = LoadResult;
-
-/// DEPRECATED: forwards to RunLoad with LoadMode::kClosedLoop.
-Result<LoadGenResult> RunClosedLoopLoad(PolicyServer& server,
-                                        const env::Map& map,
-                                        const LoadGenOptions& options);
 
 }  // namespace cews::serve
 

@@ -3,10 +3,16 @@
 // liveness semantics (silence — not in-progress transfer — trips the
 // deadline; heartbeats refresh it), dial-with-backoff against a late
 // listener, and the exact pack/unpack round-trip of every wire payload.
+//
+// The channel cases run their peer on a std::jthread, which joins on every
+// path out of the test body: a failing main-thread ASSERT returns early,
+// and a still-joinable std::thread would abort the whole binary.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,7 +130,7 @@ TEST(ChannelTest, SendRecvOverUnixSocket) {
   ASSERT_TRUE(listener_or.ok()) << listener_or.status().ToString();
   Listener listener = std::move(*listener_or);
 
-  std::thread peer([&address]() {
+  std::jthread peer([&address]() {
     auto ch_or = Channel::Dial(address);
     ASSERT_TRUE(ch_or.ok()) << ch_or.status().ToString();
     Channel ch = std::move(*ch_or);
@@ -152,7 +158,7 @@ TEST(ChannelTest, SendRecvOverUnixSocket) {
 TEST(ChannelTest, DialRetriesUntilLateListenerBinds) {
   const std::string address = TempAddress("backoff");
   Listener listener;
-  std::thread binder([&address, &listener]() {
+  std::jthread binder([&address, &listener]() {
     // Bind well after the first dial attempts have failed.
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     auto listener_or = Listener::Bind(address);
@@ -182,17 +188,25 @@ TEST(ChannelTest, SilentPeerTripsDeadlineHeartbeatingPeerDoesNot) {
   ASSERT_TRUE(listener_or.ok());
   Listener listener = std::move(*listener_or);
 
-  std::thread peer([&address]() {
+  // Handshake: the chief signals once its first window has tripped, so the
+  // peer's silence never has to outlast that window by a sleep.
+  std::promise<void> window_tripped;
+  std::shared_future<void> tripped = window_tripped.get_future().share();
+  std::jthread peer([&address, tripped]() {
     auto ch_or = Channel::Dial(address);
     ASSERT_TRUE(ch_or.ok());
     Channel ch = std::move(*ch_or);
-    // Phase 1: stay silent for 600ms — the chief's first 300ms window must
-    // trip while we sleep. Phase 2 begins at 600ms, safely inside the
-    // chief's second 300ms window (which opened at ~300ms).
-    std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    // Phase 2: heartbeat every 100ms (well inside the window), then
-    // deliver the real frame — the chief's silence clock must keep
-    // resetting on the heartbeats.
+    // Phase 1: stay silent until the chief's first 300ms window has
+    // tripped. The wait is bounded so a chief that failed before signalling
+    // cannot strand this thread.
+    if (tripped.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      return;
+    }
+    // Phase 2: heartbeat every 100ms (well inside the chief's second 300ms
+    // window, which opens as the signal is sent), then deliver the real
+    // frame — the chief's silence clock must keep resetting on the
+    // heartbeats.
     for (int i = 0; i < 6; ++i) {
       ASSERT_TRUE(ch.SendHeartbeat().ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -208,13 +222,14 @@ TEST(ChannelTest, SilentPeerTripsDeadlineHeartbeatingPeerDoesNot) {
 
   // Silent peer: a 300ms silence window must trip DeadlineExceeded.
   auto timed_out = accepted.Recv(300);
+  window_tripped.set_value();
   ASSERT_FALSE(timed_out.ok());
   EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded);
 
   // Heartbeating peer: the same silence window now never trips, because
-  // heartbeats arrive every 100ms once phase 2 starts (at most ~300ms
-  // after this read begins); RecvSkippingHeartbeats returns the real
-  // frame that follows them.
+  // heartbeats arrive every 100ms once phase 2 starts (right after the
+  // signal above); RecvSkippingHeartbeats returns the real frame that
+  // follows them.
   auto frame = RecvSkippingHeartbeats(accepted, 300);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame->type, FrameType::kRollout);
@@ -228,7 +243,7 @@ TEST(ChannelTest, ExpectFrameNamesTheMismatch) {
   auto listener_or = Listener::Bind(address);
   ASSERT_TRUE(listener_or.ok());
   Listener listener = std::move(*listener_or);
-  std::thread peer([&address]() {
+  std::jthread peer([&address]() {
     auto ch_or = Channel::Dial(address);
     ASSERT_TRUE(ch_or.ok());
     ASSERT_TRUE(ch_or->Send(FrameType::kShutdown, "").ok());

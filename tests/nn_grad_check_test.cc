@@ -1,8 +1,10 @@
 // Finite-difference verification of every op's backward pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "common/rng.h"
 #include "nn/ops.h"
@@ -250,28 +252,91 @@ TEST(GradCheck, Conv2dBias) {
   });
 }
 
+/// LayerNormRelu inputs for the gradient checks: 3 rows of 4 features whose
+/// pre-activations gamma * xhat + beta take both signs.
+struct LnReluCase {
+  Tensor x = Tensor::FromData({3, 4}, {1.0f, -0.5f, 0.3f, 2.0f,    //
+                                       -1.2f, 0.8f, 1.5f, -0.4f,   //
+                                       0.2f, 1.9f, -1.1f, 0.6f});
+  Tensor gamma = Tensor::FromData({4}, {1.2f, 0.8f, 1.0f, 0.6f});
+  Tensor beta = Tensor::FromData({4}, {0.1f, -0.2f, 0.3f, -0.3f});
+
+  /// Smallest |gamma * xhat + beta| and the count of negative ones, in
+  /// double: the checks below need every pre-activation clear of ReLU's
+  /// kink by more than a central difference can move it.
+  std::pair<double, int> KinkMargin() const {
+    double margin = 1e30;
+    int negative = 0;
+    for (Index r = 0; r < 3; ++r) {
+      double mu = 0.0, var = 0.0;
+      for (Index j = 0; j < 4; ++j) mu += x.at({r, j}) / 4.0;
+      for (Index j = 0; j < 4; ++j) {
+        var += (x.at({r, j}) - mu) * (x.at({r, j}) - mu) / 4.0;
+      }
+      for (Index j = 0; j < 4; ++j) {
+        const double pre = (x.at({r, j}) - mu) / std::sqrt(var + 1e-5) *
+                               gamma.data()[j] +
+                           beta.data()[j];
+        margin = std::min(margin, std::abs(pre));
+        negative += pre < 0.0 ? 1 : 0;
+      }
+    }
+    return {margin, negative};
+  }
+};
+
 TEST(GradCheck, LayerNormInput) {
-  Rng rng(23);
-  Tensor gamma = RandomTensor({4}, rng, 0.5f, 1.5f, false);
-  Tensor beta = RandomTensor({4}, rng, -0.5f, 0.5f, false);
-  CheckGradient(RandomTensor({3, 4}, rng, -2.0f, 2.0f),
-                [&](const Tensor& x) {
-                  return Sum(Square(LayerNormOp(x, gamma, beta)));
+  LnReluCase c;
+  const auto [margin, negative] = c.KinkMargin();
+  ASSERT_GT(margin, 0.1);
+  ASSERT_GT(negative, 0);
+  ASSERT_LT(negative, 12);
+  Tensor x = Tensor::FromData({3, 4}, c.x.ToVector(), /*requires_grad=*/true);
+  CheckGradient(x,
+                [&](const Tensor& xs) {
+                  return Sum(Square(LayerNormReluOp(xs, c.gamma, c.beta)));
                 },
                 /*h=*/1e-2f, /*rtol=*/5e-2f, /*atol=*/5e-3f);
 }
 
 TEST(GradCheck, LayerNormGammaBeta) {
+  LnReluCase c;
+  ASSERT_GT(c.KinkMargin().first, 0.1);
+  CheckGradient(Tensor::FromData({4}, c.gamma.ToVector(), true),
+                [&](const Tensor& g) {
+                  return Sum(Square(LayerNormReluOp(c.x, g, c.beta)));
+                });
+  CheckGradient(Tensor::FromData({4}, c.beta.ToVector(), true),
+                [&](const Tensor& b) {
+                  return Sum(Square(LayerNormReluOp(c.x, c.gamma, b)));
+                });
+}
+
+TEST(GradCheck, LayerNormReluClampedGradientIsZero) {
+  // Feature 0's shift clamps it in every row: no gradient reaches its gamma
+  // or beta. With every feature clamped, nothing reaches x either.
   Rng rng(24);
-  Tensor x = RandomTensor({3, 4}, rng, -2.0f, 2.0f, false);
-  CheckGradient(RandomTensor({4}, rng, 0.5f, 1.5f), [&](const Tensor& g) {
-    Tensor beta = Tensor::Zeros({4});
-    return Sum(Square(LayerNormOp(x, g, beta)));
-  });
-  CheckGradient(RandomTensor({4}, rng), [&](const Tensor& b) {
-    Tensor gamma = Tensor::Full({4}, 1.0f);
-    return Sum(Square(LayerNormOp(x, gamma, b)));
-  });
+  Tensor x = RandomTensor({3, 4}, rng, -2.0f, 2.0f);
+  Tensor gamma = RandomTensor({4}, rng, 0.5f, 1.5f);
+  Tensor beta = Tensor::FromData({4}, {-10.0f, 0.5f, 0.5f, 0.5f}, true);
+  Sum(Square(LayerNormReluOp(x, gamma, beta))).Backward();
+  EXPECT_EQ(gamma.grad()[0], 0.0f);
+  EXPECT_EQ(beta.grad()[0], 0.0f);
+  EXPECT_NE(beta.grad()[1] + beta.grad()[2] + beta.grad()[3], 0.0f);
+
+  x.ZeroGrad();
+  gamma.ZeroGrad();
+  Tensor low = Tensor::Full({4}, -10.0f, /*requires_grad=*/true);
+  Tensor y = LayerNormReluOp(x, gamma, low);
+  Sum(Square(y)).Backward();
+  for (Index i = 0; i < x.numel(); ++i) {
+    EXPECT_EQ(y.data()[i], 0.0f) << "element " << i;
+    EXPECT_EQ(x.grad()[i], 0.0f) << "element " << i;
+  }
+  for (Index j = 0; j < 4; ++j) {
+    EXPECT_EQ(gamma.grad()[j], 0.0f) << "feature " << j;
+    EXPECT_EQ(low.grad()[j], 0.0f) << "feature " << j;
+  }
 }
 
 TEST(GradCheck, EmbeddingTable) {

@@ -25,7 +25,7 @@ std::vector<float> RandVec(size_t n, Rng& rng, float lo = -1.0f,
   return v;
 }
 
-/// A small MLP exercising MatMul, AddBias, LayerNorm, Relu, LogSoftmax,
+/// A small MLP exercising MatMul, AddBias, LayerNormRelu, LogSoftmax,
 /// GatherLastDim (shared index handle), Concat and the reductions.
 struct MlpParams {
   Tensor w1, b1, gamma, beta, w2;
@@ -54,7 +54,7 @@ struct MlpParams {
 Tensor MlpLoss(const MlpParams& p, const Tensor& x,
                std::shared_ptr<const std::vector<Index>> idx) {
   Tensor h = AddBias(MatMul(x, p.w1), p.b1);
-  h = Relu(LayerNormOp(h, p.gamma, p.beta));
+  h = LayerNormReluOp(h, p.gamma, p.beta);
   Tensor lp = LogSoftmax(MatMul(h, p.w2));
   Tensor picked = GatherLastDim(lp, std::move(idx));
   // Concat keeps a second consumer of `picked` alive through the planner.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "nn/params.h"
@@ -52,14 +54,21 @@ TEST(Conv2dLayerTest, OutputGeometry) {
   EXPECT_EQ(conv.NumParameters(), 8 * 3 * 3 * 3 + 8);
 }
 
-TEST(LayerNormTest, NormalizesPerSample) {
-  LayerNorm ln(6);
+TEST(LayerNormReluTest, NormalizesPerSample) {
+  // Fresh parameters are gamma = 1, beta = 0, so the output is relu(xhat).
+  LayerNormRelu ln(6);
   Tensor x = Tensor::FromData({2, 6}, {1, 2, 3, 4, 5, 6, -3, -1, 0, 2, 4, 10});
   Tensor y = ln.Forward(x);
   for (int r = 0; r < 2; ++r) {
-    float mean = 0.0f;
-    for (int j = 0; j < 6; ++j) mean += y.at({r, j});
-    EXPECT_NEAR(mean / 6.0f, 0.0f, 1e-5);
+    double mean = 0.0, var = 0.0;
+    for (int j = 0; j < 6; ++j) mean += x.at({r, j}) / 6.0;
+    for (int j = 0; j < 6; ++j) {
+      var += (x.at({r, j}) - mean) * (x.at({r, j}) - mean) / 6.0;
+    }
+    for (int j = 0; j < 6; ++j) {
+      const double xh = (x.at({r, j}) - mean) / std::sqrt(var + 1e-5);
+      EXPECT_NEAR(y.at({r, j}), std::max(xh, 0.0), 1e-5);
+    }
   }
   EXPECT_EQ(ln.NumParameters(), 12);
 }

@@ -193,17 +193,25 @@ TEST(OpsTest, Conv2dMultiChannel) {
 }
 
 TEST(OpsTest, LayerNormZeroMeanUnitVar) {
+  // relu(xhat) - relu(-xhat) == xhat: the fused op at gamma = +1 and -1
+  // (beta = 0) gives back the normalized input, which must have zero mean
+  // and unit variance per row.
   Tensor x = Tensor::FromData({2, 4}, {1, 2, 3, 4, -1, -2, -3, -4});
-  Tensor gamma = Tensor::Full({4}, 1.0f);
   Tensor beta = Tensor::Zeros({4});
-  Tensor y = LayerNormOp(x, gamma, beta);
+  Tensor pos = LayerNormReluOp(x, Tensor::Full({4}, 1.0f), beta);
+  Tensor neg = LayerNormReluOp(x, Tensor::Full({4}, -1.0f), beta);
   for (int r = 0; r < 2; ++r) {
-    float mean = 0.0f, var = 0.0f;
-    for (int j = 0; j < 4; ++j) mean += y.at({r, j});
-    mean /= 4.0f;
+    float xh[4];
     for (int j = 0; j < 4; ++j) {
-      var += (y.at({r, j}) - mean) * (y.at({r, j}) - mean);
+      EXPECT_GE(pos.at({r, j}), 0.0f);
+      EXPECT_GE(neg.at({r, j}), 0.0f);
+      EXPECT_TRUE(pos.at({r, j}) == 0.0f || neg.at({r, j}) == 0.0f);
+      xh[j] = pos.at({r, j}) - neg.at({r, j});
     }
+    float mean = 0.0f, var = 0.0f;
+    for (int j = 0; j < 4; ++j) mean += xh[j];
+    mean /= 4.0f;
+    for (int j = 0; j < 4; ++j) var += (xh[j] - mean) * (xh[j] - mean);
     var /= 4.0f;
     EXPECT_NEAR(mean, 0.0f, 1e-5);
     EXPECT_NEAR(var, 1.0f, 1e-3);
@@ -214,10 +222,16 @@ TEST(OpsTest, LayerNormAffine) {
   Tensor x = Tensor::FromData({1, 2}, {-1.0f, 1.0f});
   Tensor gamma = Tensor::FromData({2}, {2.0f, 2.0f});
   Tensor beta = Tensor::FromData({2}, {5.0f, 5.0f});
-  Tensor y = LayerNormOp(x, gamma, beta);
-  // Normalized x is (-1, 1); y = 2 * xhat + 5.
+  Tensor y = LayerNormReluOp(x, gamma, beta);
+  // Normalized x is (-1, 1); y = relu(2 * xhat + 5), both positive.
   EXPECT_NEAR(y.data()[0], 3.0f, 1e-3);
   EXPECT_NEAR(y.data()[1], 7.0f, 1e-3);
+  // A shift that takes the first pre-activation below zero clamps it to +0.
+  Tensor clamped =
+      LayerNormReluOp(x, gamma, Tensor::FromData({2}, {-1.0f, -1.0f}));
+  EXPECT_EQ(clamped.data()[0], 0.0f);
+  EXPECT_FALSE(std::signbit(clamped.data()[0]));
+  EXPECT_NEAR(clamped.data()[1], 1.0f, 1e-3);
 }
 
 TEST(OpsTest, EmbeddingLookupRows) {

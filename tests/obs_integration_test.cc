@@ -82,7 +82,9 @@ TEST(ObsIntegrationTest, ShortTrainingRunPopulatesEveryInstrumentedPhase) {
         "rollout.pack.transitions", "nn.matmul.calls", "nn.matmul.fwd_flops",
         "nn.matmul.fwd_ns", "nn.matmul.bwd_flops", "nn.matmul.bwd_ns",
         "nn.conv2d.calls", "nn.conv2d.fwd_flops", "nn.conv2d.fwd_ns",
-        "nn.conv2d.bwd_flops", "nn.conv2d.bwd_ns", "threadpool.regions",
+        "nn.conv2d.bwd_flops", "nn.conv2d.bwd_ns", "nn.layer_norm.calls",
+        "nn.layer_norm.fwd_flops", "nn.layer_norm.fwd_ns",
+        "nn.layer_norm.bwd_flops", "nn.layer_norm.bwd_ns", "threadpool.regions",
         "threadpool.chunks", "threadpool.busy_ns"}) {
     EXPECT_GT(snap.CounterValue(name), 0u) << "empty counter: " << name;
   }

@@ -263,12 +263,12 @@ TEST(PolicyServerTest, ClosedLoopLoadRunsCleanly) {
   std::unique_ptr<PolicyServer> server =
       MakeServer(ServerConfig(/*threads=*/2, /*max_batch=*/8,
                               /*delay_us=*/200));
-  LoadGenOptions options;
-  options.clients = 4;
-  options.requests_per_client = 20;
-  options.env.horizon = 30;
-  const Result<LoadGenResult> result =
-      RunClosedLoopLoad(*server, TinyMap(), options);
+  LoadSpec spec;
+  spec.mode = LoadMode::kClosedLoop;
+  spec.clients = 4;
+  spec.requests_per_client = 20;
+  spec.env.horizon = 30;
+  const Result<LoadResult> result = RunLoad(*server, TinyMap(), spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().requests, 80u);
   EXPECT_EQ(result.value().errors, 0u);

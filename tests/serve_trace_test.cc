@@ -180,9 +180,11 @@ TEST(ServeTraceTest, DisabledTracingLeavesNoTaggedSpans) {
 
 TEST(ServeTraceTest, RollingWindowP99AgreesWithLoadgen) {
   // The rolling histogram is bucketed (power-of-two buckets, interpolated)
-  // while the loadgen computes exact percentiles over every completion, and
-  // the two measure slightly different intervals (enqueue->forward-done vs
-  // submit->response). They must still agree to within bucket resolution.
+  // while the loadgen computes exact percentiles over every completion. In
+  // closed loop both see the same interval, each response's server-side
+  // enqueue-to-completion latency, so they must agree to within bucket
+  // resolution. (The loadgen's client-side p99 also carries each client
+  // thread's wake-up delay, which CPU contention inflates.)
   for (obs::RollingHistogram* hist : obs::AllRollingHistograms()) {
     hist->ResetForTest();
   }
@@ -209,7 +211,7 @@ TEST(ServeTraceTest, RollingWindowP99AgreesWithLoadgen) {
 
   const double rolling_p99_us =
       static_cast<double>(window.Percentile(0.99)) / 1e3;
-  const double exact_p99_us = result.value().latency_p99_us;
+  const double exact_p99_us = result.value().server_latency_p99_us;
   ASSERT_GT(exact_p99_us, 0.0);
   const double ratio = rolling_p99_us / exact_p99_us;
   EXPECT_GT(ratio, 0.3) << "rolling " << rolling_p99_us << "us vs exact "

@@ -12,8 +12,8 @@
 # quantization/kernel tests (nn_quant_test, serve_quant_test), and an int8
 # kernel sweep guard requires the quantized serve shapes to stay at or
 # above packed-fp32 parity. A portable build (-DCEWS_NATIVE_ARCH=OFF) runs
-# the conv spec test on the scalar lanes, which must give the bytes the
-# vector lanes give.
+# the conv and LayerNorm spec tests on scalar lanes and scalar rows, which
+# must give the bytes the vector lanes and row lanes give.
 # Run from anywhere; builds land in build/, build-portable/, build-tsan/,
 # and build-asan/.
 #
@@ -36,16 +36,19 @@ cmake --build "$repo/build" -j "$jobs"
 echo "== tier-1: ctest =="
 (cd "$repo/build" && ctest --output-on-failure -j "$jobs")
 
-echo "== nn: portable-lane conv spec =="
+echo "== nn: portable-lane conv and LayerNorm spec =="
 # Without -march=native the direct conv kernels run on scalar std::fmaf
-# lanes. They must match the same plain reference the vector lanes match in
-# the tier-1 build, byte for byte.
+# lanes and the fused LayerNorm + ReLU kernel one row at a time. They must
+# match the same plain references the vector builds match in the tier-1
+# build, byte for byte.
 cmake -B "$repo/build-portable" -S "$repo" \
   -DCEWS_NATIVE_ARCH=OFF \
   -DCEWS_BUILD_BENCHMARKS=OFF \
   -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build "$repo/build-portable" -j "$jobs" --target nn_conv_test
+cmake --build "$repo/build-portable" -j "$jobs" --target nn_conv_test \
+  nn_layer_norm_test
 "$repo/build-portable/tests/nn_conv_test"
+"$repo/build-portable/tests/nn_layer_norm_test"
 
 echo "== obs: tracing overhead guard =="
 # Budget (see DESIGN.md "Observability"): enabling tracing may add at most
@@ -152,7 +155,7 @@ else
     -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$repo/build-tsan" -j "$jobs" --target \
     common_thread_pool_test nn_parallel_determinism_test nn_gemm_test \
-    nn_conv_test nn_workspace_test \
+    nn_conv_test nn_layer_norm_test nn_workspace_test \
     nn_quant_test nn_graph_test agents_graph_equivalence_test \
     agents_trainer_test agents_async_test \
     obs_metrics_test obs_trace_test obs_integration_test \
@@ -162,7 +165,7 @@ else
 
   echo "== tsan: concurrency tests =="
   (cd "$repo/build-tsan" && ctest --output-on-failure -j "$jobs" -R \
-    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_conv_test|nn_workspace_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
+    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_workspace_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 fi
 
 if [[ "$skip_asan" == 1 ]]; then
@@ -176,7 +179,7 @@ else
   cmake --build "$repo/build-asan" -j "$jobs" --target \
     env_vec_env_test agents_trainer_core_test agents_vec_equivalence_test \
     agents_trainer_test agents_async_test nn_gemm_test nn_conv_test \
-    nn_workspace_test nn_quant_test \
+    nn_layer_norm_test nn_workspace_test nn_quant_test \
     nn_graph_test agents_graph_equivalence_test \
     nn_serialize_test obs_rolling_test obs_flight_test \
     serve_batcher_test serve_server_test serve_fleet_test serve_trace_test \
@@ -184,7 +187,7 @@ else
 
   echo "== asan+ubsan: vec acting + serve + dist path tests =="
   (cd "$repo/build-asan" && ctest --output-on-failure -j "$jobs" -R \
-    "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_conv_test|nn_workspace_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
+    "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_workspace_test|nn_quant_test|nn_graph_test|agents_graph_equivalence_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 
   echo "== graph: checkpoint bitwise guard =="
   # Gradient checkpointing must never change training numerics: replaying
