@@ -7,6 +7,7 @@
 // so the sweep measures scheduling only.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 
 #include "agents/policy_net.h"
 #include "agents/ppo.h"
+#include "agents/quant_policy.h"
 #include "bench/bench_util.h"
 #include "common/env_flags.h"
 #include "common/rng.h"
@@ -512,31 +514,27 @@ void RunKernelSweep() {
                 ref_gflops, packed_gflops,
                 packed_s > 0 ? ref_s / packed_s : 0.0, misses_per_iter);
   }
-  // --- Int8 serve path vs packed fp32 on the serve-hot shapes ---
-  // Each side is timed with its true per-request cost: the fp32 forward
-  // repacks its B panel every call (GemmNN's pack step), the int8 forward
-  // quantizes its activations every call (rows for the trunk FC, im2col
-  // columns + panel pack for the conv) against a weight panel quantized and
-  // packed once at publish. The int8 kernel fuses the bias epilogue.
+  // --- Int8 serve path vs fp32 ---
+  // FC rows: each side is timed with its true per-request cost — the fp32
+  // product repacks its B panel every call (GemmNN's pack step), the int8
+  // one quantizes its activation rows every call against a weight panel
+  // quantized and packed once at publish, with the bias epilogue fused.
+  // Forward rows: the whole serving forward of the paper's net,
+  // PolicyNet::Forward against QuantPolicyForward, at serving batch sizes.
   struct Int8Shape {
     const char* name;
-    const char* kind;  // "fc": A=activations, B=pre-packed weight panel;
-                       // "conv": A=pre-quantized weight rows, B=im2col
     nn::Index m, n, k;
   };
   const Int8Shape kInt8Shapes[] = {
-      {"serve_fc_fwd_b16", "fc", 16, 128, 1152},
-      {"serve_fc_fwd_b64", "fc", 64, 128, 1152},
-      {"serve_conv2_img_g12", "conv", 8, 144, 54},
-      {"serve_conv2_img_g20", "conv", 8, 400, 54},
+      {"serve_fc_fwd_b16", 16, 128, 1152},
+      {"serve_fc_fwd_b64", 64, 128, 1152},
   };
   out << "\n  ],\n  \"int8_serve\": [\n";
   first = true;
   for (const Int8Shape& s : kInt8Shapes) {
-    const bool fc = std::string(s.kind) == "fc";
     const std::vector<float> a = RandomBuffer(s.m * s.k, 31);
     const std::vector<float> b = RandomBuffer(s.k * s.n, 32);
-    const std::vector<float> bias = RandomBuffer(fc ? s.n : s.m, 33);
+    const std::vector<float> bias = RandomBuffer(s.n, 33);
     std::vector<float> c(static_cast<size_t>(s.m * s.n), 0.0f);
 
     const auto run_fp32 = [&] {
@@ -544,48 +542,27 @@ void RunKernelSweep() {
                        c.data(), s.n);
     };
 
-    double int8_s = 0.0;
-    if (fc) {
-      // Publish-time: gather B's columns into channel-major rows, quantize
-      // per output channel, pack the panel.
-      std::vector<int8_t> wq(static_cast<size_t>(s.n * s.k));
-      std::vector<float> sb(static_cast<size_t>(s.n));
-      std::vector<float> bt(static_cast<size_t>(s.n * s.k));
-      for (nn::Index j = 0; j < s.n; ++j) {
-        for (nn::Index l = 0; l < s.k; ++l) bt[j * s.k + l] = b[l * s.n + j];
-      }
-      nn::gemm::QuantizeRowsInt8(s.n, s.k, bt.data(), s.k, wq.data(),
-                                 sb.data());
-      nn::quant::AlignedInt8Buffer packed(nn::gemm::Int8PanelBytes(s.k, s.n));
-      nn::gemm::PackInt8NT(s.k, s.n, wq.data(), s.k, packed.data());
-      // Request-time: per-row activation quantization + prepacked GEMM.
-      std::vector<int8_t> aq(static_cast<size_t>(s.m * s.k));
-      std::vector<float> sa(static_cast<size_t>(s.m));
-      int8_s = TimePerIter([&] {
-        nn::gemm::QuantizeRowsInt8(s.m, s.k, a.data(), s.k, aq.data(),
-                                   sa.data());
-        nn::gemm::Int8GemmPrepacked(s.m, s.n, s.k, aq.data(), s.k, sa.data(),
-                                    packed.data(), sb.data(), nullptr,
-                                    bias.data(), c.data(), s.n);
-      });
-    } else {
-      // Publish-time: conv weights are natively channel-major — quantize
-      // the rows once. Request-time: quantize-and-pack the im2col columns
-      // into the panel in one fused pass, run the dot kernel.
-      std::vector<int8_t> wq(static_cast<size_t>(s.m * s.k));
-      std::vector<float> sa(static_cast<size_t>(s.m));
-      nn::gemm::QuantizeRowsInt8(s.m, s.k, a.data(), s.k, wq.data(),
-                                 sa.data());
-      std::vector<float> sb(static_cast<size_t>(s.n));
-      nn::quant::AlignedInt8Buffer panel(nn::gemm::Int8PanelBytes(s.k, s.n));
-      int8_s = TimePerIter([&] {
-        nn::gemm::QuantizePackColsInt8(s.k, s.n, b.data(), s.n, panel.data(),
-                                       sb.data());
-        nn::gemm::Int8GemmPrepacked(s.m, s.n, s.k, wq.data(), s.k, sa.data(),
-                                    panel.data(), sb.data(), bias.data(),
-                                    nullptr, c.data(), s.n);
-      });
+    // Publish-time: gather B's columns into channel-major rows, quantize
+    // per output channel, pack the panel.
+    std::vector<int8_t> wq(static_cast<size_t>(s.n * s.k));
+    std::vector<float> sb(static_cast<size_t>(s.n));
+    std::vector<float> bt(static_cast<size_t>(s.n * s.k));
+    for (nn::Index j = 0; j < s.n; ++j) {
+      for (nn::Index l = 0; l < s.k; ++l) bt[j * s.k + l] = b[l * s.n + j];
     }
+    nn::gemm::QuantizeRowsInt8(s.n, s.k, bt.data(), s.k, wq.data(), sb.data());
+    nn::quant::AlignedInt8Buffer packed(nn::gemm::Int8PanelBytes(s.k, s.n));
+    nn::gemm::PackInt8NT(s.k, s.n, wq.data(), s.k, packed.data());
+    // Request-time: per-row activation quantization + prepacked GEMM.
+    std::vector<int8_t> aq(static_cast<size_t>(s.m * s.k));
+    std::vector<float> sa(static_cast<size_t>(s.m));
+    const double int8_s = TimePerIter([&] {
+      nn::gemm::QuantizeRowsInt8(s.m, s.k, a.data(), s.k, aq.data(),
+                                 sa.data());
+      nn::gemm::Int8GemmPrepacked(s.m, s.n, s.k, aq.data(), s.k, sa.data(),
+                                  packed.data(), sb.data(), nullptr,
+                                  bias.data(), c.data(), s.n);
+    });
     const double fp32_s = TimePerIter(run_fp32);
 
     const double flops = 2.0 * static_cast<double>(s.m) *
@@ -595,19 +572,78 @@ void RunKernelSweep() {
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"kind\": \"%s\", \"m\": %lld, \"n\": %lld, "
+        "    {\"name\": \"%s\", \"kind\": \"fc\", \"m\": %lld, \"n\": %lld, "
         "\"k\": %lld, \"fp32_gflops\": %.3f, \"int8_gflops\": %.3f, "
         "\"speedup\": %.3f}",
-        s.name, s.kind, static_cast<long long>(s.m),
-        static_cast<long long>(s.n), static_cast<long long>(s.k), fp32_gflops,
-        int8_gflops, int8_s > 0 ? fp32_s / int8_s : 0.0);
+        s.name, static_cast<long long>(s.m), static_cast<long long>(s.n),
+        static_cast<long long>(s.k), fp32_gflops, int8_gflops,
+        int8_s > 0 ? fp32_s / int8_s : 0.0);
     out << (first ? "" : ",\n") << buf;
     first = false;
-    std::printf("[kernels] %-20s %-4s m=%lld n=%lld k=%lld  fp32 %.2f GF/s  "
+    std::printf("[kernels] %-20s fc   m=%lld n=%lld k=%lld  fp32 %.2f GF/s  "
                 "int8 %.2f GF/s  speedup %.2fx\n",
-                s.name, s.kind, static_cast<long long>(s.m),
+                s.name, static_cast<long long>(s.m),
                 static_cast<long long>(s.n), static_cast<long long>(s.k),
                 fp32_gflops, int8_gflops, int8_s > 0 ? fp32_s / int8_s : 0.0);
+  }
+  {
+    const agents::PolicyNetConfig cfg;  // the paper's net, grid 20
+    Rng rng(5);
+    const agents::PolicyNet net(cfg, rng);
+    const nn::quant::QuantizedParams qp =
+        agents::QuantizePolicyParams(net.Parameters());
+    for (const int batch : {8, 11, 16}) {
+      const std::vector<float> states =
+          RandomBuffer(batch * cfg.in_channels * cfg.grid * cfg.grid, 34);
+      const nn::Tensor x = nn::Tensor::FromData(
+          {batch, cfg.in_channels, cfg.grid, cfg.grid}, states);
+      const auto fp32 = [&] {
+        nn::NoGradGuard no_grad;
+        const agents::PolicyOutput o = net.Forward(x);
+        benchmark::DoNotOptimize(o.value.data());
+      };
+      const auto int8 = [&] {
+        const agents::QuantPolicyOutput o =
+            agents::QuantPolicyForward(cfg, qp, states.data(), batch);
+        benchmark::DoNotOptimize(o.value.data());
+      };
+      // Rounds of 16 calls per side, the side that goes first alternating,
+      // so that a slow phase of the host lands on both; medians of the
+      // per-call times.
+      constexpr int kRounds = 31, kCalls = 16;
+      const auto per_call = [](const auto& fn) {
+        Stopwatch sw;
+        for (int i = 0; i < kCalls; ++i) fn();
+        return sw.ElapsedSeconds() / kCalls;
+      };
+      fp32();
+      int8();
+      std::vector<double> fp32_s, int8_s;
+      for (int r = 0; r < kRounds; ++r) {
+        if (r % 2 == 0) {
+          fp32_s.push_back(per_call(fp32));
+          int8_s.push_back(per_call(int8));
+        } else {
+          int8_s.push_back(per_call(int8));
+          fp32_s.push_back(per_call(fp32));
+        }
+      }
+      std::sort(fp32_s.begin(), fp32_s.end());
+      std::sort(int8_s.begin(), int8_s.end());
+      const double fp32_us = fp32_s[kRounds / 2] * 1e6;
+      const double int8_us = int8_s[kRounds / 2] * 1e6;
+      const std::string name = "serve_policy_b" + std::to_string(batch);
+      char buf[512];
+      std::snprintf(buf, sizeof(buf),
+                    "    {\"name\": \"%s\", \"kind\": \"forward\", "
+                    "\"batch\": %d, \"fp32_us\": %.1f, \"int8_us\": %.1f, "
+                    "\"speedup\": %.3f}",
+                    name.c_str(), batch, fp32_us, int8_us, fp32_us / int8_us);
+      out << ",\n" << buf;
+      std::printf("[kernels] %-20s net  batch=%d  fp32 %.1f us  int8 %.1f us  "
+                  "speedup %.2fx\n",
+                  name.c_str(), batch, fp32_us, int8_us, fp32_us / int8_us);
+    }
   }
 
   // --- Tape vs compiled-graph replay on the PPO training step ---

@@ -1,12 +1,13 @@
 #include "agents/quant_policy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/check.h"
+#include "nn/conv.h"
 #include "nn/gemm.h"
 #include "nn/gemm_int8.h"
+#include "nn/layer_norm.h"
 #include "nn/tensor.h"
 #include "nn/workspace.h"
 
@@ -20,98 +21,42 @@ using nn::quant::QuantizedParams;
 using nn::quant::QuantizedTensor;
 namespace gemm = nn::gemm;
 
-/// Output side length of a 3x3 conv with the given stride and padding 1
-/// (mirrors cnn_trunk.cc).
-Index ConvOut(Index in, int stride) { return (in + 2 * 1 - 3) / stride + 1; }
-
 /// LayerNorm epsilon of nn::LayerNormRelu (the LayerNormReluOp default).
 constexpr float kLnEps = 1e-5f;
 
-/// Geometry of one conv stage of the trunk (3x3, padding 1).
-struct StageShape {
-  Index c, h;      // input [c, h, h]
-  Index oc, oh;    // output [oc, oh, oh]
-  int stride;
-  Index ck2() const { return c * 3 * 3; }
-  Index ohow() const { return oh * oh; }
-};
-
-/// Unfolds one [c, h, h] image into cols [ck2, ohow] — the exact Im2Col of
-/// nn/ops.cc (anonymous namespace there, so replicated), specialized to the
-/// trunk's square 3x3 / padding-1 convs. Padding taps become zeros.
-void Im2Col3x3(const StageShape& s, const float* img, float* cols) {
-  const Index ohow = s.ohow();
-  for (Index ic = 0; ic < s.c; ++ic) {
-    const float* plane = img + ic * s.h * s.h;
-    for (Index ky = 0; ky < 3; ++ky) {
-      for (Index kx = 0; kx < 3; ++kx) {
-        float* row = cols + ((ic * 3 + ky) * 3 + kx) * ohow;
-        for (Index y = 0; y < s.oh; ++y) {
-          const Index iy = y * s.stride - 1 + ky;
-          float* dst = row + y * s.oh;
-          if (iy < 0 || iy >= s.h) {
-            std::fill(dst, dst + s.oh, 0.0f);
-            continue;
-          }
-          const float* src = plane + iy * s.h;
-          for (Index x = 0; x < s.oh; ++x) {
-            const Index ixp = x * s.stride - 1 + kx;
-            dst[x] = (ixp < 0 || ixp >= s.h) ? 0.0f : src[ixp];
-          }
-        }
-      }
-    }
-  }
-}
-
-/// One conv-LN-ReLU block over the whole batch, int8 GEMM per image:
-/// im2col -> per-output-pixel activation quantize -> pack -> Int8DotRows
-/// with the quantized conv weight on the A side, then fp32 LayerNorm over
-/// the image's oc*oh*oh features fused with ReLU: the forward of the
-/// nn/layer_norm.h order contract (double mean/var), except that its
-/// multiply-adds are left to the compiler's contraction here rather than
-/// pinned. Images are independent, so parallelizing over them is
-/// partition-invariant; the per-image work is bitwise-fixed.
-void ConvLnReluStage(const StageShape& s, Index batch,
-                     const QuantizedTensor& wq, const float* bias,
-                     const float* ln_g, const float* ln_b, const float* in,
-                     float* out) {
-  CEWS_CHECK(wq.channels == s.oc && wq.per_channel == s.ck2());
-  const Index ck2 = s.ck2();
-  const Index ohow = s.ohow();
-  const Index in_img = s.c * s.h * s.h;
-  const Index out_img = s.oc * ohow;
-  const Index f = out_img;  // LayerNorm feature width.
-  gemm::ParallelKernel(batch, 2 * s.oc * ck2 * ohow, [&](Index n0, Index n1) {
-    // Per-thread scratch: the Workspace arena is thread_local, so each
+/// One conv-LN-ReLU block over the whole batch: per image, the patch panel
+/// (gemm_int8.h) -> Int8DotRows with the quantized conv weight on the A
+/// side -> the output pixels' columns into `out`; then the fused LayerNorm
+/// + ReLU of nn/layer_norm.h over the partition's images in place. Images
+/// are independent and the LayerNorm's rows do not depend on their
+/// grouping, so partitioning over images is bitwise-invariant.
+void ConvLnReluStage(const nn::conv::Plan& plan, const QuantizedTensor& wq,
+                     const float* bias, const float* ln_g, const float* ln_b,
+                     const float* in, float* out) {
+  CEWS_CHECK(wq.channels == plan.oc && wq.per_channel == plan.ck2());
+  const gemm::Int8PatchPlan pp(plan);
+  const Index in_img = plan.c * plan.h * plan.w;
+  const Index f = plan.oc * plan.ohow();  // LayerNorm feature width.
+  const Index flops = 2 * plan.oc * pp.k * pp.cols;  // per image
+  gemm::ParallelKernel(plan.n, flops, [&](Index n0, Index n1) {
+    // Per-partition scratch: the Workspace arena is thread_local, so each
     // worker's buffers are private and recycled across its images.
-    ScopedVec cols(ck2 * ohow);
-    ScopedVec col_scales(ohow);
-    nn::AlignedScopedBytes panel(gemm::Int8PanelBytes(ck2, ohow));
+    ScopedVec scratch(pp.ScratchFloats());
+    ScopedVec col_scales(pp.cols);
+    ScopedVec dot(plan.oc * pp.cols);
+    nn::AlignedScopedBytes panel(gemm::Int8PanelBytes(pp.k, pp.cols));
     for (Index img = n0; img < n1; ++img) {
-      Im2Col3x3(s, in + img * in_img, cols.data());
-      gemm::QuantizePackColsInt8(ck2, ohow, cols.data(), ohow, panel.data(),
-                                 col_scales.data());
-      float* o = out + img * out_img;
-      gemm::Int8DotRows(0, s.oc, ohow, ck2, wq.rows.data(), ck2,
+      gemm::QuantizePackPatchesInt8(pp, in + img * in_img, scratch.data(),
+                                    panel.data(), col_scales.data());
+      gemm::Int8DotRows(0, plan.oc, pp.cols, pp.k, wq.rows.data(), pp.k,
                         wq.scales.data(), panel.data(), col_scales.data(),
-                        /*bias_row=*/bias, /*bias_col=*/nullptr, o, ohow);
-      // Fused LayerNorm + ReLU over this image's flattened activation.
-      double mu = 0.0;
-      for (Index j = 0; j < f; ++j) mu += o[j];
-      mu /= static_cast<double>(f);
-      double var = 0.0;
-      for (Index j = 0; j < f; ++j) {
-        const double d = o[j] - mu;
-        var += d * d;
-      }
-      var /= static_cast<double>(f);
-      const float is = 1.0f / std::sqrt(static_cast<float>(var) + kLnEps);
-      for (Index j = 0; j < f; ++j) {
-        const float xh = (o[j] - static_cast<float>(mu)) * is;
-        o[j] = std::max(0.0f, xh * ln_g[j] + ln_b[j]);
-      }
+                        /*bias_row=*/bias, /*bias_col=*/nullptr, dot.data(),
+                        pp.cols);
+      gemm::DropPadColumns(pp, plan.oc, dot.data(), out + img * f);
     }
+    ScopedVec stats(nn::layer_norm::StatsFloats(n1 - n0));
+    nn::layer_norm::Forward(n1 - n0, f, kLnEps, out + n0 * f, ln_g, ln_b,
+                            stats.data(), out + n0 * f);
   });
 }
 
@@ -127,22 +72,6 @@ void QuantLinear(Index m, Index k, Index n, const float* x,
   gemm::Int8GemmPrepacked(m, n, k, xq.data(), k, sx.data(), wq.packed.data(),
                           wq.scales.data(), /*bias_row=*/nullptr,
                           /*bias_col=*/bias, out, n);
-}
-
-/// Plain fp32 xW + b for the heads: tiny n, sequential accumulation —
-/// deterministic and exact w.r.t. the stored dense weights.
-void Fp32Linear(Index m, Index k, Index n, const float* x, const float* w,
-                const float* bias, float* out) {
-  for (Index i = 0; i < m; ++i) {
-    const float* row = x + i * k;
-    float* orow = out + i * n;
-    for (Index j = 0; j < n; ++j) orow[j] = bias[j];
-    for (Index l = 0; l < k; ++l) {
-      const float xv = row[l];
-      const float* wrow = w + l * n;
-      for (Index j = 0; j < n; ++j) orow[j] += xv * wrow[j];
-    }
-  }
 }
 
 /// Index of the first maximum (SampleFromLogits' deterministic rule).
@@ -177,16 +106,17 @@ QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
   CEWS_CHECK_GT(batch, 0);
   CEWS_CHECK_EQ(qp.entries.size(), 20u);
 
-  const Index g = config.grid;
-  const Index s1 = ConvOut(g, 1);
-  const Index s2 = ConvOut(s1, 2);
-  const Index s3 = ConvOut(s2, 2);
-  const StageShape stage1{config.in_channels, g, config.conv1_channels, s1, 1};
-  const StageShape stage2{config.conv1_channels, s1, config.conv2_channels,
-                          s2, 2};
-  const StageShape stage3{config.conv2_channels, s2, config.conv3_channels,
-                          s3, 2};
-  const Index flat = config.conv3_channels * s3 * s3;
+  const Index b = batch;
+  // The trunk's three 3x3 convs, padding 1, strides 1/2/2 (cnn_trunk.cc).
+  const nn::conv::Plan conv1(b, config.in_channels, config.grid, config.grid,
+                             config.conv1_channels, 3, 3, 1, 1);
+  const nn::conv::Plan conv2(b, conv1.oc, conv1.oh, conv1.ow,
+                             config.conv2_channels, 3, 3, 2, 1);
+  const nn::conv::Plan conv3(b, conv2.oc, conv2.oh, conv2.ow,
+                             config.conv3_channels, 3, 3, 2, 1);
+  const Index f1 = conv1.oc * conv1.ohow();
+  const Index f2 = conv2.oc * conv2.ohow();
+  const Index flat = conv3.oc * conv3.ohow();
   const Index feat = config.feature_dim;
   const Index n_move =
       static_cast<Index>(config.num_workers) * config.num_moves;
@@ -194,30 +124,32 @@ QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
 
   // Parameter bundle layout = PolicyNet::Parameters() order:
   // trunk (conv1 w/b, ln1 g/b, conv2 w/b, ln2 g/b, conv3 w/b, ln3 g/b,
-  // fc w/b) then move, charge, value head w/b pairs.
+  // fc w/b) then move, charge, value head w/b pairs. The quantized entries'
+  // shapes are checked where they are used; the dense ones here.
   auto quantized = [&qp](size_t i) -> const QuantizedTensor& {
     CEWS_CHECK(qp.entries[i].quantized);
     return qp.entries[i].q;
   };
-  auto dense = [&qp](size_t i) -> const float* {
+  auto dense = [&qp](size_t i, Index size) -> const float* {
     CEWS_CHECK(!qp.entries[i].quantized);
+    CEWS_CHECK_EQ(static_cast<Index>(qp.entries[i].dense.size()), size)
+        << "floats in bundle entry" << i;
     return qp.entries[i].dense.data();
   };
 
-  const Index b = batch;
-  ScopedVec act1(b * stage1.oc * stage1.ohow());
-  ScopedVec act2(b * stage2.oc * stage2.ohow());
-  ScopedVec act3(b * stage3.oc * stage3.ohow());
-  ConvLnReluStage(stage1, b, quantized(0), dense(1), dense(2), dense(3),
-                  states, act1.data());
-  ConvLnReluStage(stage2, b, quantized(4), dense(5), dense(6), dense(7),
-                  act1.data(), act2.data());
-  ConvLnReluStage(stage3, b, quantized(8), dense(9), dense(10), dense(11),
-                  act2.data(), act3.data());
+  ScopedVec act1(b * f1);
+  ScopedVec act2(b * f2);
+  ScopedVec act3(b * flat);
+  ConvLnReluStage(conv1, quantized(0), dense(1, conv1.oc), dense(2, f1),
+                  dense(3, f1), states, act1.data());
+  ConvLnReluStage(conv2, quantized(4), dense(5, conv2.oc), dense(6, f2),
+                  dense(7, f2), act1.data(), act2.data());
+  ConvLnReluStage(conv3, quantized(8), dense(9, conv3.oc), dense(10, flat),
+                  dense(11, flat), act2.data(), act3.data());
 
   // Trunk FC + ReLU. act3 is already the flattened [b, flat] matrix.
   ScopedVec feature(b * feat);
-  QuantLinear(b, flat, feat, act3.data(), quantized(12), dense(13),
+  QuantLinear(b, flat, feat, act3.data(), quantized(12), dense(13, feat),
               feature.data());
   for (Index i = 0; i < b * feat; ++i) {
     feature.data()[i] = std::max(0.0f, feature.data()[i]);
@@ -230,12 +162,14 @@ QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
   out.move_logits.resize(static_cast<size_t>(b * n_move));
   out.charge_logits.resize(static_cast<size_t>(b * n_charge));
   out.value.resize(static_cast<size_t>(b));
-  Fp32Linear(b, feat, n_move, feature.data(), dense(14), dense(15),
-             out.move_logits.data());
-  Fp32Linear(b, feat, n_charge, feature.data(), dense(16), dense(17),
-             out.charge_logits.data());
-  Fp32Linear(b, feat, 1, feature.data(), dense(18), dense(19),
-             out.value.data());
+  gemm::LinearRowsF32(b, n_move, feat, feature.data(),
+                      dense(14, feat * n_move), dense(15, n_move),
+                      out.move_logits.data());
+  gemm::LinearRowsF32(b, n_charge, feat, feature.data(),
+                      dense(16, feat * n_charge), dense(17, n_charge),
+                      out.charge_logits.data());
+  gemm::LinearRowsF32(b, 1, feat, feature.data(), dense(18, feat),
+                      dense(19, 1), out.value.data());
   return out;
 }
 

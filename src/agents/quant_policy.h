@@ -2,13 +2,41 @@
 //
 // QuantPolicyForward replays PolicyNet::ForwardImpl's exact layer sequence
 // (conv3x3-LN-ReLU x3 -> flatten -> FC-ReLU -> three linear heads) against
-// a publish-time nn::quant::QuantizedParams bundle instead of fp32 tensors:
-// every GEMM-shaped product (conv im2col forward, trunk FC, heads) runs on
-// the packed int8 kernels (nn/gemm_int8.h) with per-output-channel weight
-// scales, dynamic per-row activation scales (per im2col column for convs),
-// int32 accumulation and fp32 dequantize + bias on output. LayerNorm and
-// ReLU stay fp32 — they are O(n) epilogues whose precision anchors the
-// activation statistics the next quantization step depends on.
+// a publish-time nn::quant::QuantizedParams bundle instead of fp32 tensors.
+// The three convs and the trunk FC run on the packed int8 kernels
+// (nn/gemm_int8.h) with per-output-channel weight scales, dynamic
+// activation scales (per output pixel for the convs, per row for the FC),
+// int32 accumulation and fp32 dequantize + bias on output. Each conv reads
+// its patches from a padded copy of the image straight into the int8 panel;
+// no fp32 im2col matrix is built. LayerNorm, ReLU and the three heads stay
+// fp32: the LayerNorms anchor the activation statistics the next
+// quantization step depends on, and the heads are a sliver of the forward
+// cost that owns the argmax decision.
+//
+// Order contract. Every code, scale, int32 sum and output comes from one
+// fixed sequence, whatever the build or the pool size:
+//  * patch values: column p of tap l is xpad[taps[l] + pixels[p]] in the
+//    conv's zero-padded image (nn/conv.h); padding taps are zeros;
+//  * per-pixel scale: amax/127 over the pixel's column, or 1.0 for an
+//    all-zero column, with inverse 127/amax (0 for an all-zero column);
+//  * codes: clamp(rtne(x * inverse), -127, 127), QuantizePackColsInt8's
+//    rule;
+//  * conv output: fma(sw[oc] * s[p], (float)acc, 0 + bias[oc]) with acc the
+//    exact int32 dot of the codes (Int8DotRows);
+//  * LayerNorm + ReLU of each image: the forward contract of
+//    nn/layer_norm.h;
+//  * trunk FC: per-row codes (QuantizeRowsInt8) against the prepacked
+//    panel (Int8GemmPrepacked), then ReLU;
+//  * heads: each output starts from its bias and takes one
+//    fmaf(x[l], w[l][j], acc) per l ascending.
+// This is the sequence of the im2col lowering the forward ran before, whose
+// native build GCC contracted into the same fmas, so native logits are the
+// bytes that lowering gave, and a portable build gives the native bytes
+// (tests/agents_quant_forward_test.cc pins both against that lowering).
+// The contract covers finite states. A NaN can change a pixel's scale (the
+// absmax passes take their maxima in different orders), so NaN states are
+// outside it; serve::PolicyServer rejects a state holding a NaN or an
+// infinity before it reaches a forward.
 //
 // The bundle is immutable and shared: unlike the fp32 serve path (which
 // copies a snapshot into a private per-worker net on epoch change), int8
@@ -54,9 +82,10 @@ nn::quant::QuantizedParams QuantizePolicyParams(
 /// Runs the int8 forward over `batch` stacked states (batch * in_channels *
 /// grid * grid floats, the SamplePolicyBatch layout). `qp` must have been
 /// built by QuantizePolicyParams from a parameter list in
-/// PolicyNet::Parameters() order for this architecture (CHECKed).
-/// Deterministic at any thread count: integer accumulation plus per-image
-/// fp epilogues, both partition-invariant.
+/// PolicyNet::Parameters() order for this architecture: every entry's kind
+/// and size are CHECKed against `config`. Deterministic at any thread
+/// count: integer accumulation plus per-image fp epilogues, both
+/// partition-invariant.
 QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
                                      const nn::quant::QuantizedParams& qp,
                                      const float* states, int batch);

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstring>
 
-#if defined(__AVX512VNNI__) && defined(__AVX512F__)
+#if defined(__AVX512VNNI__) && defined(__AVX512F__) && defined(__AVX512BW__)
 #include <immintrin.h>
 #define CEWS_INT8_VNNI 1
 #if defined(__GNUC__) && !defined(__clang__)
@@ -25,12 +25,14 @@ namespace {
 
 /// Round-to-nearest-even + saturating cast to [-127, 127]. -128 is excluded
 /// so the symmetric grid has an exact negation for every code (and so an
-/// int8 product can never hit the -128*-128 corner).
+/// int8 product can never hit the -128*-128 corner). NaN takes -127, as in
+/// the vector paths (vcvtps2dq gives INT32_MIN, clamped to -127), and never
+/// reaches the cast.
 inline int8_t SaturateRtne(float x) {
   const float r = std::nearbyintf(x);
   if (r >= 127.0f) return 127;
-  if (r <= -127.0f) return -127;
-  return static_cast<int8_t>(r);
+  if (r > -127.0f) return static_cast<int8_t>(r);
+  return -127;
 }
 
 /// Quantizes a contiguous run against one reciprocal scale. The vector
@@ -53,27 +55,6 @@ inline void QuantizeRun(const float* src, Index len, float inv, int8_t* dst) {
   }
 #endif
   for (; l < len; ++l) dst[l] = SaturateRtne(src[l] * inv);
-}
-
-/// Per-lane-reciprocal variant for the column-quantize pass (each output
-/// pixel carries its own scale, so one row of the im2col matrix mixes 16
-/// different reciprocals per vector). Same rounding contract as above.
-inline void QuantizeRunPerLane(const float* src, const float* inv, Index len,
-                               int8_t* dst) {
-  Index j = 0;
-#ifdef CEWS_INT8_VNNI
-  const __m512i lo = _mm512_set1_epi32(-127);
-  const __m512i hi = _mm512_set1_epi32(127);
-  for (; j + 16 <= len; j += 16) {
-    const __m512 x = _mm512_loadu_ps(src + j);
-    const __m512 vinv = _mm512_loadu_ps(inv + j);
-    __m512i q = _mm512_cvtps_epi32(_mm512_mul_ps(x, vinv));
-    q = _mm512_max_epi32(lo, _mm512_min_epi32(hi, q));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + j),
-                     _mm512_cvtsepi32_epi8(q));
-  }
-#endif
-  for (; j < len; ++j) dst[j] = SaturateRtne(src[j] * inv[j]);
 }
 
 /// Max |x| over a contiguous run. max is exact and order-free, and the
@@ -114,127 +95,32 @@ void QuantizeRowsInt8(Index m, Index k, const float* x, Index ldx, int8_t* xq,
   }
 }
 
-namespace {
-
-/// The shared first stage of the column-quantize paths: per-column absmax
-/// over X (k x n), then scales[j] = absmax/127 (1.0 for an all-zero
-/// column) and inv[j] = 127/absmax (0.0), the reciprocals precomputed once
-/// per column (a divide per element would dominate the whole pass).
-void ColumnScales(Index k, Index n, const float* x, Index ldx, float* scales,
-                  float* inv) {
-  // Column absmax in one row-major pass (the strided per-column walk would
-  // thrash; this form keeps reads streaming while accumulating the running
-  // maxima in the L1-resident scales buffer).
-  for (Index j = 0; j < n; ++j) scales[j] = 0.0f;
-  for (Index l = 0; l < k; ++l) {
-    const float* row = x + l * ldx;
-    Index j = 0;
-#ifdef CEWS_INT8_VNNI
-    const __m512 mask = _mm512_castsi512_ps(_mm512_set1_epi32(0x7fffffff));
-    for (; j + 16 <= n; j += 16) {
-      const __m512 cur = _mm512_loadu_ps(scales + j);
-      const __m512 v = _mm512_and_ps(mask, _mm512_loadu_ps(row + j));
-      _mm512_storeu_ps(scales + j, _mm512_max_ps(cur, v));
-    }
-#endif
-    for (; j < n; ++j) scales[j] = std::max(scales[j], std::fabs(row[j]));
-  }
-  Index j = 0;
-#ifdef CEWS_INT8_VNNI
-  const __m512 v127 = _mm512_set1_ps(127.0f);
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 zero = _mm512_setzero_ps();
-  for (; j + 16 <= n; j += 16) {
-    const __m512 amax = _mm512_loadu_ps(scales + j);
-    const __mmask16 z = _mm512_cmp_ps_mask(amax, zero, _CMP_EQ_OQ);
-    _mm512_storeu_ps(scales + j,
-                     _mm512_mask_blend_ps(z, _mm512_div_ps(amax, v127), one));
-    _mm512_storeu_ps(inv + j, _mm512_maskz_div_ps(~z, v127, amax));
-  }
-#endif
-  for (; j < n; ++j) {
-    const float amax = scales[j];
-    scales[j] = amax == 0.0f ? 1.0f : amax / 127.0f;
-    inv[j] = amax == 0.0f ? 0.0f : 127.0f / amax;
-  }
-}
-
-}  // namespace
+// The im2col column quantizers and PackInt8NN are references for the tests
+// (the conv path's QuantizePackPatchesInt8 gives their bytes without an
+// im2col matrix), so they stay plain scalar loops.
 
 void QuantizeColsInt8(Index k, Index n, const float* x, Index ldx, int8_t* xq,
                       float* scales) {
-  ScopedVec inv(n);
-  ColumnScales(k, n, x, ldx, scales, inv.data());
-  const float* pinv = inv.data();
-  for (Index l = 0; l < k; ++l) {
-    QuantizeRunPerLane(x + l * ldx, pinv, n, xq + l * n);
+  for (Index j = 0; j < n; ++j) {
+    float amax = 0.0f;
+    for (Index l = 0; l < k; ++l) {
+      amax = std::max(amax, std::fabs(x[l * ldx + j]));
+    }
+    scales[j] = amax == 0.0f ? 1.0f : amax / 127.0f;
+    const float inv = amax == 0.0f ? 0.0f : 127.0f / amax;
+    for (Index l = 0; l < k; ++l) {
+      xq[l * n + j] = SaturateRtne(x[l * ldx + j] * inv);
+    }
   }
 }
 
 void QuantizePackColsInt8(Index k, Index n, const float* x, Index ldx,
                           int8_t* packed, float* scales) {
-  // Processed one column tile at a time: the strided colmax walk pulls the
-  // tile's k x w block into L1 (<= k * 128 B), and the quantize+interleave
-  // loop right after re-reads it from there — X crosses the L2 boundary
-  // once in total, where a matrix-wide colmax pass followed by a tile-order
-  // quantize pass would cross it twice.
   const Index k4 = (k + kKuQ - 1) / kKuQ * kKuQ;
-  alignas(64) float inv[kNrQ];
+  float inv[kNrQ];
   for (Index c0 = 0; c0 < n; c0 += kNrQ) {
     const Index w = std::min<Index>(kNrQ, n - c0);
     int8_t* tile = packed + k4 * c0;
-#ifdef CEWS_INT8_VNNI
-    if (w % 16 == 0) {
-      const __m512 mask = _mm512_castsi512_ps(_mm512_set1_epi32(0x7fffffff));
-      const __m512 v127 = _mm512_set1_ps(127.0f);
-      const __m512 one = _mm512_set1_ps(1.0f);
-      for (Index t0 = 0; t0 < w; t0 += 16) {
-        __m512 vmax = _mm512_setzero_ps();
-        for (Index l = 0; l < k; ++l) {
-          vmax = _mm512_max_ps(
-              vmax,
-              _mm512_and_ps(mask, _mm512_loadu_ps(x + l * ldx + c0 + t0)));
-        }
-        const __mmask16 z =
-            _mm512_cmp_ps_mask(vmax, _mm512_setzero_ps(), _CMP_EQ_OQ);
-        _mm512_storeu_ps(
-            scales + c0 + t0,
-            _mm512_mask_blend_ps(z, _mm512_div_ps(vmax, v127), one));
-        _mm512_store_ps(inv + t0, _mm512_maskz_div_ps(~z, v127, vmax));
-      }
-      const __m512i qlo = _mm512_set1_epi32(-127);
-      const __m512i qhi = _mm512_set1_epi32(127);
-      for (Index g = 0; g < k4 / kKuQ; ++g) {
-        const Index l0 = g * kKuQ;
-        int8_t* dst = tile + g * w * kKuQ;
-        for (Index t0 = 0; t0 < w; t0 += 16) {
-          const __m512 vinv = _mm512_load_ps(inv + t0);
-          __m128i r[kKuQ];
-          for (Index u = 0; u < kKuQ; ++u) {
-            if (l0 + u < k) {
-              const __m512 v =
-                  _mm512_loadu_ps(x + (l0 + u) * ldx + c0 + t0);
-              __m512i q = _mm512_cvtps_epi32(_mm512_mul_ps(v, vinv));
-              q = _mm512_max_epi32(qlo, _mm512_min_epi32(qhi, q));
-              r[u] = _mm512_cvtsepi32_epi8(q);
-            } else {
-              r[u] = _mm_setzero_si128();
-            }
-          }
-          const __m128i ab_lo = _mm_unpacklo_epi8(r[0], r[1]);
-          const __m128i ab_hi = _mm_unpackhi_epi8(r[0], r[1]);
-          const __m128i cd_lo = _mm_unpacklo_epi8(r[2], r[3]);
-          const __m128i cd_hi = _mm_unpackhi_epi8(r[2], r[3]);
-          __m128i* out = reinterpret_cast<__m128i*>(dst + t0 * kKuQ);
-          _mm_storeu_si128(out + 0, _mm_unpacklo_epi16(ab_lo, cd_lo));
-          _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(ab_lo, cd_lo));
-          _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(ab_hi, cd_hi));
-          _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(ab_hi, cd_hi));
-        }
-      }
-      continue;
-    }
-#endif  // CEWS_INT8_VNNI
     for (Index t = 0; t < w; ++t) {
       float amax = 0.0f;
       for (Index l = 0; l < k; ++l) {
@@ -260,44 +146,241 @@ void QuantizePackColsInt8(Index k, Index n, const float* x, Index ldx,
   }
 }
 
+Int8PatchPlan::Int8PatchPlan(const conv::Plan& p)
+    : c(p.c),
+      h(p.h),
+      w(p.w),
+      stride(p.stride),
+      padding(p.padding),
+      oh(p.oh),
+      ow(p.ow),
+      k(p.ck2()),
+      phase_rows((p.hp + p.stride - 1) / p.stride),
+      pitch((p.wp + p.stride - 1) / p.stride),
+      cols((p.oh * pitch + 15) / 16 * 16) {
+  const Index s = stride, plane = phase_rows * pitch;
+  taps.reserve(static_cast<size_t>(k));
+  Index last = 0;
+  for (Index ic = 0; ic < c; ++ic) {
+    for (Index ky = 0; ky < p.kh; ++ky) {
+      for (Index kx = 0; kx < p.kw; ++kx) {
+        const Index phase = (ky % s) * s + kx % s;
+        taps.push_back((phase * c + ic) * plane + (ky / s) * pitch + kx / s);
+        last = std::max(last, taps.back());
+      }
+    }
+  }
+  phase_floats = std::max(s * s * c * plane, last + cols);
+}
+
+namespace {
+
+/// Writes the stride phases of one zero-padded image (see Int8PatchPlan)
+/// and zeroes the slack after them. Phase (a, b) of channel ic starts at
+/// ((a*s + b)*c + ic) * plane and holds padded pixel (yy, xx) at row yy / s,
+/// column xx / s, with a = yy % s and b = xx % s; image pixel (iy, ix) is
+/// padded pixel (iy + padding, ix + padding). The rows go phase row by
+/// phase row, so the writes run in order.
+void PadPhases(const Int8PatchPlan& pp, const float* img, float* xph) {
+  const Index s = pp.stride, c = pp.c, h = pp.h, w = pp.w;
+  const Index padding = pp.padding, pitch = pp.pitch;
+  const Index plane = pp.phase_rows * pitch;
+  const Index step = c * plane;  // phase (a, b) to phase (a, b + 1)
+  std::fill(xph, xph + pp.phase_floats, 0.0f);
+  for (Index a = 0; a < s; ++a) {
+    for (Index ic = 0; ic < c; ++ic) {
+      for (Index y = 0; y < pp.phase_rows; ++y) {
+        const Index iy = s * y + a - padding;
+        if (iy < 0 || iy >= h) continue;
+        const float* src = img + (ic * h + iy) * w;
+        float* row0 = xph + (a * s * c + ic) * plane + y * pitch;
+        if (s == 1) {
+          std::copy_n(src, w, row0 + padding);
+          continue;
+        }
+#ifdef CEWS_INT8_VNNI
+        if (s == 2) {
+          // Per 16 image columns: the even ones go to one phase and the
+          // odd ones to the other, each a contiguous run. This and the row
+          // copy above are timed against the scatter loop below in README
+          // "Serving".
+          for (Index j = 0; j < w; j += 16) {
+            const auto len = static_cast<unsigned>(std::min<Index>(16, w - j));
+            const __m512 v = _mm512_maskz_loadu_ps((1u << len) - 1u, src + j);
+            const Index xe = j + padding, xo = xe + 1;
+            _mm512_mask_storeu_ps(row0 + (xe & 1) * step + (xe >> 1),
+                                  (1u << ((len + 1) / 2)) - 1u,
+                                  _mm512_maskz_compress_ps(0x5555, v));
+            _mm512_mask_storeu_ps(row0 + (xo & 1) * step + (xo >> 1),
+                                  (1u << (len / 2)) - 1u,
+                                  _mm512_maskz_compress_ps(0xAAAA, v));
+          }
+          continue;
+        }
+#endif  // CEWS_INT8_VNNI
+        Index b = padding % s, x = padding / s;
+        for (Index ix = 0; ix < w; ++ix) {
+          row0[b * step + x] = src[ix];
+          if (++b == s) {
+            b = 0;
+            ++x;
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void QuantizePackPatchesInt8(const Int8PatchPlan& pp, const float* img,
+                             float* scratch, int8_t* packed, float* scales) {
+  PadPhases(pp, img, scratch);
+  const float* xph = scratch;
+  float* inv = scratch + pp.phase_floats;
+  const Index* taps = pp.taps.data();
+  const Index k = pp.k;
+  const Index kg = (k + kKuQ - 1) / kKuQ;
+  const Index k4 = kg * kKuQ;
+  // Pass 1, every column's scale and reciprocal (the divides of different
+  // columns overlap); pass 2, the codes.
+#ifdef CEWS_INT8_VNNI
+  const __m512 abs_mask = _mm512_castsi512_ps(_mm512_set1_epi32(0x7fffffff));
+  const __m512 v127 = _mm512_set1_ps(127.0f);
+  const __m512 one = _mm512_set1_ps(1.0f);
+  for (Index q0 = 0; q0 < pp.cols; q0 += 16) {
+    // Four running maxima, so the max latency does not chain the taps; max
+    // is exact, so for finite values any order gives the same bits.
+    __m512 part[4] = {_mm512_setzero_ps(), _mm512_setzero_ps(),
+                      _mm512_setzero_ps(), _mm512_setzero_ps()};
+    for (Index l = 0; l < k; ++l) {
+      part[l % 4] = _mm512_max_ps(
+          part[l % 4],
+          _mm512_and_ps(abs_mask, _mm512_loadu_ps(xph + taps[l] + q0)));
+    }
+    const __m512 amax = _mm512_max_ps(_mm512_max_ps(part[0], part[1]),
+                                      _mm512_max_ps(part[2], part[3]));
+    const __mmask16 z =
+        _mm512_cmp_ps_mask(amax, _mm512_setzero_ps(), _CMP_EQ_OQ);
+    _mm512_storeu_ps(scales + q0,
+                     _mm512_mask_blend_ps(z, _mm512_div_ps(amax, v127), one));
+    _mm512_storeu_ps(inv + q0, _mm512_maskz_div_ps(~z, v127, amax));
+  }
+  const __m512i lo = _mm512_set1_epi8(-127);
+  // Within each 16-byte lane, the two signed-saturating packs leave the
+  // codes tap-major (4 taps x 4 pixels); this shuffle makes them
+  // pixel-major, the panel's 4-byte k-groups.
+  const __m512i to_groups =
+      _mm512_set4_epi32(0x0F0B0703, 0x0E0A0602, 0x0D090501, 0x0C080400);
+#else
+  for (Index q = 0; q < pp.cols; ++q) {
+    float amax = 0.0f;
+    for (Index l = 0; l < k; ++l) {
+      amax = std::max(amax, std::fabs(xph[taps[l] + q]));
+    }
+    scales[q] = amax == 0.0f ? 1.0f : amax / 127.0f;
+    inv[q] = amax == 0.0f ? 0.0f : 127.0f / amax;
+  }
+#endif  // CEWS_INT8_VNNI
+  for (Index q0 = 0; q0 < pp.cols; q0 += 16) {
+    // The 16 columns' place in their panel tile; k-group g starts at
+    // dst + g * w * kKuQ.
+    const Index c0 = q0 / kNrQ * kNrQ;
+    const Index w = std::min<Index>(kNrQ, pp.cols - c0);
+    int8_t* dst = packed + k4 * c0 + (q0 - c0) * kKuQ;
+#ifdef CEWS_INT8_VNNI
+    const __m512 vinv = _mm512_loadu_ps(inv + q0);
+    for (Index g = 0; g < kg; ++g) {
+      __m512i q[kKuQ];
+      for (Index u = 0; u < kKuQ; ++u) {
+        const Index l = g * kKuQ + u;
+        q[u] = l < k ? _mm512_cvtps_epi32(_mm512_mul_ps(
+                           _mm512_loadu_ps(xph + taps[l] + q0), vinv))
+                     : _mm512_setzero_si512();
+      }
+      // Saturating to int16 and then int8 and raising -128 to -127 is the
+      // clamp to [-127, 127].
+      const __m512i codes = _mm512_packs_epi16(_mm512_packs_epi32(q[0], q[1]),
+                                               _mm512_packs_epi32(q[2], q[3]));
+      _mm512_storeu_si512(
+          reinterpret_cast<void*>(dst + g * w * kKuQ),
+          _mm512_max_epi8(_mm512_shuffle_epi8(codes, to_groups), lo));
+    }
+#else
+    for (Index t = 0; t < 16; ++t) {
+      const Index q = q0 + t;
+      for (Index l = 0; l < k4; ++l) {
+        dst[(l / kKuQ * w + t) * kKuQ + l % kKuQ] =
+            l < k ? SaturateRtne(xph[taps[l] + q] * inv[q]) : int8_t{0};
+      }
+    }
+#endif  // CEWS_INT8_VNNI
+  }
+}
+
+void DropPadColumns(const Int8PatchPlan& pp, Index rows, const float* c,
+                    float* y) {
+  for (Index r = 0; r < rows; ++r) {
+    for (Index oy = 0; oy < pp.oh; ++oy) {
+      std::copy_n(c + r * pp.cols + oy * pp.pitch, pp.ow,
+                  y + (r * pp.oh + oy) * pp.ow);
+    }
+  }
+}
+
+void LinearRowsF32(Index m, Index n, Index k, const float* x,
+                   const float* w, const float* bias, float* out) {
+#ifdef CEWS_INT8_VNNI
+  // Eight rows' accumulators per 16 outputs: eight independent fma chains
+  // in registers. A short last block repeats its last row in the spare
+  // slots and drops their results.
+  constexpr Index kRows = 8;
+  for (Index i0 = 0; i0 < m; i0 += kRows) {
+    const Index rows = std::min(kRows, m - i0);
+    const float* xr[kRows];
+    for (Index r = 0; r < kRows; ++r) {
+      xr[r] = x + (i0 + std::min(r, rows - 1)) * k;
+    }
+    for (Index j0 = 0; j0 < n; j0 += 16) {
+      const unsigned len = static_cast<unsigned>(std::min<Index>(16, n - j0));
+      const __mmask16 mj = static_cast<__mmask16>((1u << len) - 1u);
+      __m512 acc[kRows];
+      for (Index r = 0; r < kRows; ++r) {
+        acc[r] = _mm512_maskz_loadu_ps(mj, bias + j0);
+      }
+      for (Index l = 0; l < k; ++l) {
+        const __m512 wv = _mm512_maskz_loadu_ps(mj, w + l * n + j0);
+        for (Index r = 0; r < kRows; ++r) {
+          acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(xr[r][l]), wv, acc[r]);
+        }
+      }
+      for (Index r = 0; r < rows; ++r) {
+        _mm512_mask_storeu_ps(out + (i0 + r) * n + j0, mj, acc[r]);
+      }
+    }
+  }
+#else
+  // The same sequence per output with l outer and j inner, which the
+  // compiler vectorizes across j.
+  for (Index i = 0; i < m; ++i) {
+    const float* row = x + i * k;
+    float* orow = out + i * n;
+    std::copy_n(bias, n, orow);
+    for (Index l = 0; l < k; ++l) {
+      const float xv = row[l];
+      const float* wrow = w + l * n;
+      for (Index j = 0; j < n; ++j) orow[j] = std::fmaf(xv, wrow[j], orow[j]);
+    }
+  }
+#endif  // CEWS_INT8_VNNI
+}
+
 void PackInt8NN(Index k, Index n, const int8_t* b, Index ldb,
                 int8_t* packed) {
   const Index k4 = (k + kKuQ - 1) / kKuQ * kKuQ;
   for (Index c0 = 0; c0 < n; c0 += kNrQ) {
     const Index w = std::min<Index>(kNrQ, n - c0);
     int8_t* tile = packed + k4 * c0;
-#ifdef CEWS_INT8_VNNI
-    if (w % 16 == 0) {
-      // 16-multiple tile: the pack is a 4-row byte transpose — dst[t*4 + u]
-      // = row_u[t] — which is exactly two rounds of byte/word unpacks per
-      // 16-column chunk. The scalar form below is a strided byte scatter
-      // the compiler can't vectorize, and it dominated the whole conv
-      // stage (the m=8 GEMM it feeds is tiny by comparison).
-      for (Index g = 0; g < k4 / kKuQ; ++g) {
-        const Index l0 = g * kKuQ;
-        int8_t* dst = tile + g * w * kKuQ;
-        for (Index t0 = 0; t0 < w; t0 += 16) {
-          __m128i r[kKuQ];
-          for (Index u = 0; u < kKuQ; ++u) {
-            r[u] = l0 + u < k
-                       ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                             b + (l0 + u) * ldb + c0 + t0))
-                       : _mm_setzero_si128();
-          }
-          const __m128i ab_lo = _mm_unpacklo_epi8(r[0], r[1]);
-          const __m128i ab_hi = _mm_unpackhi_epi8(r[0], r[1]);
-          const __m128i cd_lo = _mm_unpacklo_epi8(r[2], r[3]);
-          const __m128i cd_hi = _mm_unpackhi_epi8(r[2], r[3]);
-          __m128i* out = reinterpret_cast<__m128i*>(dst + t0 * kKuQ);
-          _mm_storeu_si128(out + 0, _mm_unpacklo_epi16(ab_lo, cd_lo));
-          _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(ab_lo, cd_lo));
-          _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(ab_hi, cd_hi));
-          _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(ab_hi, cd_hi));
-        }
-      }
-      continue;
-    }
-#endif  // CEWS_INT8_VNNI
     for (Index g = 0; g < k4 / kKuQ; ++g) {
       int8_t* dst = tile + g * w * kKuQ;
       for (Index u = 0; u < kKuQ; ++u) {

@@ -10,9 +10,11 @@
 //  * Weights are quantized per output channel (symmetric absmax, quant.h)
 //    and packed into panels ONCE at publish — the per-request pack the fp32
 //    GemmNN pays on its B operand (k*n floats per call) disappears.
-//  * Activations are quantized per row (or per im2col column) at request
-//    time with the same round-to-nearest-even + saturate rule — an O(m*k)
-//    pass against the O(m*n*k) product.
+//  * Activations are quantized per row (or per conv patch column) at
+//    request time with the same round-to-nearest-even + saturate rule — an
+//    O(m*k) pass against the O(m*n*k) product. Conv patches are read
+//    straight from a padded copy of the image into the panel
+//    (QuantizePackPatchesInt8); no fp32 im2col matrix is built.
 //  * The kernel accumulates int8 x int8 products in int32 (exact: with
 //    |q| <= 127 a reduction of up to 2^17 terms cannot overflow), then
 //    dequantizes on output: C[i,j] = sa[i]*sb[j]*acc + bias. Integer
@@ -39,7 +41,9 @@
 #define CEWS_NN_GEMM_INT8_H_
 
 #include <cstdint>
+#include <vector>
 
+#include "nn/conv.h"
 #include "nn/tensor.h"
 
 namespace cews::nn::gemm {
@@ -78,27 +82,87 @@ inline constexpr Index Int8PanelBytes(Index k, Index n) {
 void QuantizeRowsInt8(Index m, Index k, const float* x, Index ldx, int8_t* xq,
                       float* scales);
 
+// Reference lowering of a conv's B panel through an fp32 im2col matrix.
+// No serving path runs these three; they are plain scalar loops that the
+// tests (nn_quant_test, agents_quant_forward_test) hold the patch path and
+// the kernels against.
+
 /// Per-column variant for im2col matrices: X is k x n (row stride ldx = n),
 /// column j is one output pixel's patch. scales[j] = colmax|x|/127, xq keeps
-/// the k x n row-major layout. One extra O(k*n) pass buys per-pixel scale
-/// resolution — the accuracy knob that keeps conv-stage argmax agreement
-/// high.
+/// the k x n row-major layout.
 void QuantizeColsInt8(Index k, Index n, const float* x, Index ldx, int8_t* xq,
                       float* scales);
 
 /// Packs B (k x n int8, row stride ldb) into the panel layout above
-/// (Int8PanelBytes(k, n) bytes). The int8 analogue of the fp32 GEMM pack —
-/// request-time path for quantized im2col columns.
+/// (Int8PanelBytes(k, n) bytes). The int8 analogue of the fp32 GEMM pack.
 void PackInt8NN(Index k, Index n, const int8_t* b, Index ldb, int8_t* packed);
 
 /// QuantizeColsInt8 + PackInt8NN fused into one pass: quantizes the im2col
 /// matrix X (k x n fp32) per column and writes the codes straight into the
-/// panel layout, skipping the intermediate k x n int8 buffer (one whole
-/// write+read+rewrite of the matrix — the request-time conv path's largest
-/// avoidable memory cost). Bit-identical to running the two steps
-/// separately; `packed` takes Int8PanelBytes(k, n) bytes.
+/// panel layout, bit-identical to running the two steps separately;
+/// `packed` takes Int8PanelBytes(k, n) bytes. QuantizePackPatchesInt8
+/// gives its bytes without building X.
 void QuantizePackColsInt8(Index k, Index n, const float* x, Index ldx,
                           int8_t* packed, float* scales);
+
+/// The int8 patch panel of one image of a conv::Plan, without an fp32
+/// patch matrix. The conv's patch matrix has one row per tap l = (ic*kh +
+/// ky)*kw + kx and one column per output pixel p, and column p of tap l is
+/// xpad[taps[l] + pixels[p]] in the plan's zero-padded image (conv.h).
+/// QuantizePackPatchesInt8 reads those values from a stride-phase copy of
+/// the padded image: with stride s, phase (a, b) holds xpad's rows a, a+s,
+/// a+2s, ... and columns b, b+s, ..., `pitch` columns to a row. Output
+/// pixel (oy, ox) is panel column oy*pitch + ox, and tap l lies `taps[l]`
+/// floats past that column in the phase copy, so sixteen consecutive
+/// columns of a tap are one contiguous load. The panel has `cols` columns,
+/// oh*pitch rounded up to 16 so that every tile takes the VNNI kernel. The
+/// columns that are no output pixel (ox >= ow, or past oh*pitch) are pad
+/// columns: their values are well defined but meaningless, and
+/// DropPadColumns skips them.
+struct Int8PatchPlan {
+  explicit Int8PatchPlan(const conv::Plan& p);
+
+  Index c, h, w;            ///< one input image [c, h, w]
+  int stride, padding;
+  Index oh, ow;             ///< output pixels
+  Index k;                  ///< taps: the panel depth, c*kh*kw
+  Index phase_rows, pitch;  ///< shape of one channel of one phase
+  Index cols;               ///< panel columns, a multiple of 16
+  /// taps[l]: offset of tap l from a column in the phase copy.
+  std::vector<Index> taps;
+  /// Floats of the phase copy, with the zeroed slack the pad columns read.
+  Index phase_floats;
+
+  /// Scratch floats QuantizePackPatchesInt8 takes: the phase copy and one
+  /// reciprocal scale per column.
+  Index ScratchFloats() const { return phase_floats + cols; }
+};
+
+/// Quantizes and packs the patch matrix of one [c, h, w] image into the
+/// panel layout above (Int8PanelBytes(pp.k, pp.cols) bytes), with the rule
+/// of QuantizePackColsInt8: scales[q] = absmax/127 of column q (1.0 for an
+/// all-zero column), codes clamp(rtne(x * 127/absmax), -127, 127). For
+/// finite inputs, every output pixel's scale and codes are the bytes
+/// QuantizePackColsInt8 gives for that pixel's column of the im2col
+/// matrix; a NaN input may give another column scale. `scales` takes
+/// pp.cols floats, `scratch` pp.ScratchFloats().
+void QuantizePackPatchesInt8(const Int8PatchPlan& pp, const float* img,
+                             float* scratch, int8_t* packed, float* scales);
+
+/// Copies the output-pixel columns of `rows` rows of a product over the
+/// patch panel (row stride pp.cols) into y [rows, oh*ow], dropping the pad
+/// columns.
+void DropPadColumns(const Int8PatchPlan& pp, Index rows, const float* c,
+                    float* y);
+
+/// fp32 out (m x n) = bias + x (m x k) · w (k x n), all row-major, for the
+/// small dense layers beside the int8 kernels (the policy heads): each
+/// element starts from bias[j] and takes one fmaf(x[i,l], w[l,j], acc) per
+/// l ascending — GemmNN's per-element sequence (gemm.h). The VNNI builds
+/// keep eight rows' accumulators in registers; the others run the rows one
+/// at a time with the j loop vectorized. No pack; serial.
+void LinearRowsF32(Index m, Index n, Index k, const float* x, const float* w,
+                   const float* bias, float* out);
 
 /// Packs Y (n x k int8, row stride ldy) *transposed* into the same layout,
 /// i.e. PackInt8NN of Yᵀ: panel element (l, c0+t) = Y[(c0+t)*ldy + l]. The

@@ -49,7 +49,7 @@ inline Index StatsFloats(Index n) { return 2 * n; }
 Index BackwardScratchFloats(Index f);
 
 /// out [n, f] = relu(gamma * xhat(x) + beta); writes `stats`
-/// (StatsFloats(n)).
+/// (StatsFloats(n)). `out` may be `x` (in place).
 void Forward(Index n, Index f, float eps, const float* x, const float* gamma,
              const float* beta, float* stats, float* out);
 

@@ -41,8 +41,9 @@ struct ScheduleRequest {
   std::string scenario;
 
   /// Pre-encoded state in StateEncoder layout ([channels, grid, grid]
-  /// row-major, exactly PolicyServer::StateSize() floats). Leave empty to
-  /// have the server encode `env` instead.
+  /// row-major, exactly PolicyServer::StateSize() finite floats; a NaN or
+  /// infinity is rejected InvalidArgument). Leave empty to have the server
+  /// encode `env` instead.
   std::vector<float> state;
 
   /// Raw observation to encode server-side when `state` is empty. The

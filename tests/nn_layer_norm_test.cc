@@ -21,6 +21,7 @@
 
 #include "common/rng.h"
 #include "nn/graph.h"
+#include "nn/layer_norm.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 #include "obs/metrics.h"
@@ -303,6 +304,19 @@ TEST(LayerNormReluSpecTest, NoGradForwardMatchesReference) {
   Tensor y = LayerNormReluOp(x, gamma, beta);
   EXPECT_FALSE(y.requires_grad());
   ExpectSameBytes(want.y[0], Copy(y.data(), y.numel()), c.Name() + " y");
+}
+
+TEST(LayerNormReluSpecTest, InPlaceKernelForwardMatchesReference) {
+  // The int8 serving forward normalizes its conv outputs in place.
+  for (const Case& c : Grid()) {
+    const Inputs in = MakeInputs(c, 91);
+    const Result want = RunReference(c, in);
+    std::vector<float> xy = in.x[0];
+    std::vector<float> stats(static_cast<size_t>(layer_norm::StatsFloats(c.n)));
+    layer_norm::Forward(c.n, c.f, kEps, xy.data(), in.gamma.data(),
+                        in.beta.data(), stats.data(), xy.data());
+    ExpectSameBytes(want.y[0], xy, c.Name() + " in-place y");
+  }
 }
 
 TEST(LayerNormReluSpecTest, ReportsKernelCounters) {

@@ -10,15 +10,18 @@
 // three are exercised over the same edge-shape grid as nn_gemm_test.
 #include "nn/quant.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "nn/conv.h"
 #include "nn/gemm_int8.h"
 #include "nn/tensor.h"
 #include "nn/workspace.h"
@@ -318,10 +321,10 @@ TEST(Int8GemmTest, PrepackedLinearWeightMatchesUnpackedReference) {
 }
 
 TEST(Int8GemmTest, FusedQuantizePackMatchesSeparateSteps) {
-  // The request-time conv path fuses column-quantize and panel-pack into
-  // one pass; it must be bit-identical — codes, scales, and pad bytes —
-  // to running QuantizeColsInt8 then PackInt8NN, across full tiles
-  // (w == 32), half tiles (w == 16), ragged widths, and k tails.
+  // The im2col reference fuses column-quantize and panel-pack into one
+  // pass; it must be bit-identical — codes, scales, and pad bytes — to
+  // running QuantizeColsInt8 then PackInt8NN, across full tiles (w == 32),
+  // half tiles (w == 16), ragged widths, and k tails.
   for (const GemmCase& c : kCases) {
     if (c.k <= 0 || c.n <= 0) continue;
     const auto b = RandomData(static_cast<size_t>(c.k * c.n), 91,
@@ -343,6 +346,149 @@ TEST(Int8GemmTest, FusedQuantizePackMatchesSeparateSteps) {
                           sb.size() * sizeof(float)),
               0)
         << CaseName(c, 1);
+  }
+}
+
+/// Byte (l, q) of a packed panel of n columns and depth k.
+int8_t PanelByte(const int8_t* packed, Index k, Index n, Index l, Index q) {
+  const Index k4 = (k + gemm::kKuQ - 1) / gemm::kKuQ * gemm::kKuQ;
+  const Index c0 = q / gemm::kNrQ * gemm::kNrQ;
+  const Index w = std::min<Index>(gemm::kNrQ, n - c0);
+  return packed[k4 * c0 + ((l / gemm::kKuQ) * w + (q - c0)) * gemm::kKuQ +
+                l % gemm::kKuQ];
+}
+
+TEST(Int8GemmTest, PatchPanelMatchesIm2ColThenQuantizePack) {
+  // The patch panel must hold, for every output pixel, the scale and the
+  // codes (k tail included) that the fused column quantize-pack gives for
+  // that pixel's column of the im2col matrix, whose column p of tap l is
+  // xpad[taps[l] + pixels[p]] in the plan's zero-padded image. Geometries
+  // cover the trunk's convs and strides 1-3, paddings 0-2, 1x1 to 5x5
+  // kernels, non-square images and depths off every k-group; inputs carry
+  // ±0 and whole zero columns.
+  struct Geometry {
+    Index c, h, w, kh, kw;
+    int stride, padding;
+  };
+  const Geometry kGeometries[] = {
+      {3, 20, 20, 3, 3, 1, 1},  {8, 20, 20, 3, 3, 2, 1},
+      {16, 10, 10, 3, 3, 2, 1}, {3, 12, 12, 3, 3, 1, 1},
+      {4, 6, 6, 3, 3, 2, 1},    {6, 3, 3, 3, 3, 2, 1},
+      {1, 7, 5, 3, 3, 1, 0},    {2, 9, 11, 5, 5, 3, 2},
+      {5, 8, 8, 1, 1, 2, 0},    {3, 5, 9, 3, 5, 1, 2},
+      {17, 4, 4, 3, 3, 1, 1},   {2, 13, 13, 3, 3, 2, 2},
+  };
+  for (const Geometry& g : kGeometries) {
+    const conv::Plan plan(1, g.c, g.h, g.w, /*oc=*/1, g.kh, g.kw, g.stride,
+                          g.padding);
+    const gemm::Int8PatchPlan pp(plan);
+    const Index k = plan.ck2(), n = plan.ohow();
+    const std::string where = "c=" + std::to_string(g.c) + " h=" +
+                              std::to_string(g.h) + " w=" +
+                              std::to_string(g.w) + " k=" +
+                              std::to_string(g.kh) + "x" +
+                              std::to_string(g.kw) + " stride=" +
+                              std::to_string(g.stride) + " padding=" +
+                              std::to_string(g.padding);
+    ASSERT_EQ(pp.cols % 16, 0) << where;
+    ASSERT_GE(pp.cols, (plan.oh - 1) * pp.pitch + plan.ow) << where;
+    std::vector<float> img =
+        RandomData(static_cast<size_t>(g.c * g.h * g.w), 97, 0.3);
+    for (size_t i = 0; i < img.size(); i += 7) img[i] = -0.0f;
+    // An all-zero channel; with one channel, an all-zero image, whose
+    // columns all take scale 1.0.
+    std::fill(img.begin(), img.begin() + g.h * g.w, 0.0f);
+
+    // Reference: pad, unfold through the plan's tables, quantize-pack.
+    std::vector<float> xpad(static_cast<size_t>(plan.PaddedFloats()), 0.0f);
+    for (Index ic = 0; ic < g.c; ++ic) {
+      for (Index y = 0; y < g.h; ++y) {
+        for (Index x = 0; x < g.w; ++x) {
+          xpad[static_cast<size_t>((ic * plan.hp + y + g.padding) * plan.wp +
+                                   x + g.padding)] =
+              img[static_cast<size_t>((ic * g.h + y) * g.w + x)];
+        }
+      }
+    }
+    std::vector<float> cols(static_cast<size_t>(k * n));
+    for (Index l = 0; l < k; ++l) {
+      for (Index p = 0; p < n; ++p) {
+        cols[static_cast<size_t>(l * n + p)] =
+            xpad[static_cast<size_t>(plan.taps[l] + plan.pixels[p])];
+      }
+    }
+    std::vector<int8_t> want(static_cast<size_t>(gemm::Int8PanelBytes(k, n)));
+    std::vector<float> want_scales(static_cast<size_t>(n));
+    gemm::QuantizePackColsInt8(k, n, cols.data(), n, want.data(),
+                               want_scales.data());
+
+    AlignedScopedBytes got(gemm::Int8PanelBytes(k, pp.cols));
+    std::vector<float> got_scales(static_cast<size_t>(pp.cols));
+    std::vector<float> scratch(static_cast<size_t>(pp.ScratchFloats()), NAN);
+    gemm::QuantizePackPatchesInt8(pp, img.data(), scratch.data(), got.data(),
+                                  got_scales.data());
+    const Index k4 = (k + gemm::kKuQ - 1) / gemm::kKuQ * gemm::kKuQ;
+    for (Index p = 0; p < n; ++p) {
+      const Index q = (p / plan.ow) * pp.pitch + p % plan.ow;
+      EXPECT_EQ(std::memcmp(&got_scales[static_cast<size_t>(q)],
+                            &want_scales[static_cast<size_t>(p)],
+                            sizeof(float)),
+                0)
+          << where << " pixel " << p;
+      for (Index l = 0; l < k4; ++l) {
+        ASSERT_EQ(PanelByte(got.data(), k, pp.cols, l, q),
+                  PanelByte(want.data(), k, n, l, p))
+            << where << " pixel " << p << " tap " << l;
+      }
+    }
+
+    // DropPadColumns keeps exactly the output pixels' columns, in order.
+    std::vector<float> c(static_cast<size_t>(2 * pp.cols));
+    for (size_t i = 0; i < c.size(); ++i) c[i] = static_cast<float>(i);
+    std::vector<float> y(static_cast<size_t>(2 * n));
+    gemm::DropPadColumns(pp, 2, c.data(), y.data());
+    for (Index r = 0; r < 2; ++r) {
+      for (Index p = 0; p < n; ++p) {
+        EXPECT_EQ(y[static_cast<size_t>(r * n + p)],
+                  static_cast<float>(r * pp.cols + (p / plan.ow) * pp.pitch +
+                                     p % plan.ow))
+            << where;
+      }
+    }
+  }
+}
+
+TEST(Int8GemmTest, LinearRowsF32MatchesBiasThenFmaChain) {
+  // Every output starts from its bias and takes one fmaf per reduction
+  // step, l ascending, for any number of rows (row blocks and their short
+  // tails) and of columns (full and partial lane blocks).
+  for (const Index m : {Index{1}, Index{7}, Index{8}, Index{11}, Index{17}}) {
+    for (const Index n : {Index{1}, Index{4}, Index{16}, Index{34}}) {
+      const Index k = 37;
+      auto x = RandomData(static_cast<size_t>(m * k), 101, 0.3);
+      x[0] = -0.0f;
+      const auto w = RandomData(static_cast<size_t>(k * n), 103);
+      auto bias = RandomData(static_cast<size_t>(n), 107);
+      bias[0] = -0.0f;
+      std::vector<float> want(static_cast<size_t>(m * n));
+      for (Index i = 0; i < m; ++i) {
+        for (Index j = 0; j < n; ++j) {
+          float acc = bias[static_cast<size_t>(j)];
+          for (Index l = 0; l < k; ++l) {
+            acc = std::fmaf(x[static_cast<size_t>(i * k + l)],
+                            w[static_cast<size_t>(l * n + j)], acc);
+          }
+          want[static_cast<size_t>(i * n + j)] = acc;
+        }
+      }
+      std::vector<float> got(static_cast<size_t>(m * n), NAN);
+      gemm::LinearRowsF32(m, n, k, x.data(), w.data(), bias.data(),
+                          got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "m=" << m << " n=" << n;
+    }
   }
 }
 

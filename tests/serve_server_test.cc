@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -161,6 +162,32 @@ TEST(PolicyServerTest, RejectsMalformedRequests) {
     const ScheduleResponse response =
         server->Submit(std::move(request)).get();
     EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(PolicyServerTest, RejectsNonFiniteState) {
+  // A NaN or infinity in a pre-encoded state is refused before it reaches
+  // a forward, at either precision.
+  for (const Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    PolicyServerConfig config =
+        ServerConfig(/*threads=*/1, /*max_batch=*/4, /*delay_us=*/100);
+    config.precision = precision;
+    std::unique_ptr<PolicyServer> server = MakeServer(config);
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+      ScheduleRequest request;
+      request.state = FixedState();
+      request.state[17] = bad;
+      const ScheduleResponse response =
+          server->Submit(std::move(request)).get();
+      EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+          << PrecisionName(precision) << " " << bad;
+    }
+    ScheduleRequest request;
+    request.state = FixedState();
+    const ScheduleResponse response = server->Submit(std::move(request)).get();
+    EXPECT_TRUE(response.ok()) << response.status.ToString();
   }
 }
 
