@@ -209,21 +209,25 @@ BENCHMARK(BM_PolicyNetForwardBatch)
     ->ArgNames({"batch", "threads"})
     ->ArgsProduct({{1, 4, 8, 16}, {1, 2}});
 
-/// Fills `buffer` with `batch` on-policy transitions from `agent`.
-agents::RolloutBuffer FillPpoBuffer(agents::PpoAgent& agent, int batch) {
+/// Fills a buffer with `steps` on-policy transitions from `agent`, on
+/// uniform random states of the agent's net.
+agents::RolloutBuffer FillPpoBuffer(agents::PpoAgent& agent, int steps) {
   Rng rng(8);
   agents::RolloutBuffer buffer;
-  const std::vector<float> zero_state(static_cast<size_t>(3 * 12 * 12), 0.0f);
-  for (int t = 0; t < batch; ++t) {
-    const agents::ActResult act = agent.Act(zero_state, rng);
+  const agents::PolicyNetConfig& net = agent.net().config();
+  std::vector<float> state(
+      static_cast<size_t>(net.in_channels * net.grid * net.grid));
+  for (int t = 0; t < steps; ++t) {
+    for (float& v : state) v = static_cast<float>(rng.Uniform(0, 1));
+    const agents::ActResult act = agent.Act(state, rng);
     agents::Transition tr;
-    tr.state = zero_state;
+    tr.state = state;
     tr.moves = act.moves;
     tr.charges = act.charges;
     tr.log_prob = act.log_prob;
     tr.value = act.value;
     tr.reward = 1.0f;
-    tr.done = t + 1 == batch;
+    tr.done = t + 1 == steps;
     buffer.Add(std::move(tr));
   }
   buffer.ComputeAdvantages(0.99f, 0.95f, 0.0f);
@@ -275,6 +279,40 @@ void BM_PpoLossBackward(benchmark::State& state) {
 BENCHMARK(BM_PpoLossBackward)
     ->ArgNames({"batch", "threads", "mode"})
     ->ArgsProduct({{16, 64}, {1, 2, 4}, {0, 1, 2}});
+
+// The paper's update shape: the paper net (grid 20, conv 8/16/16, FC 256)
+// and Table II's minibatch of 250 drawn by SampleBatch from one 100-step
+// episode, so about 92 of its rows are distinct transitions. rows:0 keeps
+// the minibatch's buffer indices, and ComputeLoss runs the trunk once per
+// distinct transition (nn/ops.h "RowMap"); rows:1 clears them, and the
+// trunk runs every row. Both give the same gradient bits.
+void BM_PpoLossBackwardPaper(benchmark::State& state) {
+  PoolGuard pool(state, /*arg_index=*/0);
+  const bool every_row = state.range(1) != 0;
+  agents::PpoAgent agent(agents::PolicyNetConfig{}, agents::PpoConfig{}, 7);
+  const agents::RolloutBuffer buffer = FillPpoBuffer(agent, 100);
+  Rng rng(9);
+  int64_t distinct = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    agents::MiniBatch mb = buffer.SampleBatch(250, rng);
+    distinct += static_cast<int64_t>(
+        nn::RowMap::Number(mb.indices)->distinct());
+    if (every_row) mb.indices.clear();
+    nn::ZeroGradients(agent.Parameters());
+    state.ResumeTiming();
+    nn::Tensor loss = agent.ComputeLoss(std::move(mb));
+    loss.Backward();
+    benchmark::DoNotOptimize(loss.item());
+  }
+  state.counters["distinct_share"] =
+      static_cast<double>(distinct) / (250.0 * state.iterations());
+  state.SetItemsProcessed(state.iterations() * 250);
+}
+BENCHMARK(BM_PpoLossBackwardPaper)
+    ->ArgNames({"threads", "rows"})
+    ->ArgsProduct({{1, 4}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // Graph build vs replay on a bare MLP classification loss: mode 0 is the
 // per-call tape baseline (fwd + bwd), mode 1 replays a compiled graph

@@ -150,16 +150,8 @@ ChiefEmployeeTrainer::ChiefEmployeeTrainer(const TrainerConfig& config,
         global_rnd_->Parameters(), config_.rnd.lr);
   }
 
-  ppo_grad_buffer_.assign(
-      static_cast<size_t>(nn::FlatSize(global_net_->Parameters())), 0.0f);
-  if (global_curiosity_ != nullptr) {
-    intrinsic_grad_buffer_.assign(
-        static_cast<size_t>(nn::FlatSize(global_curiosity_->Parameters())),
-        0.0f);
-  } else if (global_rnd_ != nullptr) {
-    intrinsic_grad_buffer_.assign(
-        static_cast<size_t>(nn::FlatSize(global_rnd_->Parameters())), 0.0f);
-  }
+  ppo_grad_slots_.resize(static_cast<size_t>(config_.num_employees));
+  intrinsic_grad_slots_.resize(static_cast<size_t>(config_.num_employees));
 
   episode_accum_.assign(static_cast<size_t>(config_.episodes),
                         EpisodeAccumulator{});
@@ -170,26 +162,30 @@ ChiefEmployeeTrainer::ChiefEmployeeTrainer(const TrainerConfig& config,
 ChiefEmployeeTrainer::~ChiefEmployeeTrainer() = default;
 
 void ChiefEmployeeTrainer::ChiefApplyGradients() {
-  // Load the summed employee gradients into the global models and step.
-  // The buffers already hold the sums (Algorithm 2, lines 3-7).
+  // Sum the employees' gradients into the global models, in employee order
+  // (Algorithm 2, lines 3-7), and step. An empty slot (no curiosity samples
+  // this round) adds nothing.
+  const auto apply_slots = [](const std::vector<nn::Tensor>& params,
+                              std::vector<std::vector<float>>& slots) {
+    nn::ZeroGradients(params);
+    for (std::vector<float>& slot : slots) {
+      if (!slot.empty()) nn::AccumulateFlatGradients(params, slot);
+      slot.clear();
+    }
+  };
   {
     const std::vector<nn::Tensor> params = global_net_->Parameters();
-    nn::ZeroGradients(params);
-    nn::AccumulateFlatGradients(params, ppo_grad_buffer_);
+    apply_slots(params, ppo_grad_slots_);
     nn::ClipGradByGlobalNorm(
         params, config_.ppo.max_grad_norm * config_.num_employees);
     ppo_optimizer_->Step();
-    std::fill(ppo_grad_buffer_.begin(), ppo_grad_buffer_.end(), 0.0f);
   }
   if (intrinsic_optimizer_ != nullptr) {
     const std::vector<nn::Tensor> params =
         global_curiosity_ != nullptr ? global_curiosity_->Parameters()
                                      : global_rnd_->Parameters();
-    nn::ZeroGradients(params);
-    nn::AccumulateFlatGradients(params, intrinsic_grad_buffer_);
+    apply_slots(params, intrinsic_grad_slots_);
     intrinsic_optimizer_->Step();
-    std::fill(intrinsic_grad_buffer_.begin(), intrinsic_grad_buffer_.end(),
-              0.0f);
   }
 }
 
@@ -340,19 +336,12 @@ void ChiefEmployeeTrainer::EmployeeLoop(int employee_id) {
         }
         nn::ClipGradByGlobalNorm(local_ppo_params,
                                  config_.ppo.max_grad_norm);
-        const std::vector<float> ppo_flat =
-            nn::FlattenGradients(local_ppo_params);
 
-        // Send gradients to the global buffers (Algorithm 1, line 20).
-        {
-          std::lock_guard<std::mutex> lock(buffer_mu_);
-          for (size_t i = 0; i < ppo_flat.size(); ++i) {
-            ppo_grad_buffer_[i] += ppo_flat[i];
-          }
-          for (size_t i = 0; i < intrinsic_flat.size(); ++i) {
-            intrinsic_grad_buffer_[i] += intrinsic_flat[i];
-          }
-        }
+        // Send gradients to the global buffers (Algorithm 1, line 20): this
+        // employee's own slots, which the chief sums in employee order.
+        const size_t slot = static_cast<size_t>(employee_id);
+        ppo_grad_slots_[slot] = nn::FlattenGradients(local_ppo_params);
+        intrinsic_grad_slots_[slot] = std::move(intrinsic_flat);
       }
 
       // Wait for the chief to update the global models (lines 21-22), then

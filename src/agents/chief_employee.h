@@ -1,8 +1,9 @@
 // The chief-employee distributed computational architecture (Section V-A,
 // Algorithms 1-2): synchronous employee threads roll out local environments
-// with local model copies, compute gradients, and push them into two global
-// gradient buffers (PPO + curiosity); the chief sums the buffers, steps the
-// global Adam optimizers, and releases the employees to copy parameters back.
+// with local model copies, compute gradients, and leave them in their own
+// slots of two global gradient buffers (PPO + curiosity); the chief sums the
+// slots in employee order, steps the global Adam optimizers, and releases
+// the employees to copy parameters back.
 #ifndef CEWS_AGENTS_CHIEF_EMPLOYEE_H_
 #define CEWS_AGENTS_CHIEF_EMPLOYEE_H_
 
@@ -158,6 +159,7 @@ class ChiefEmployeeTrainer {
 
   void EmployeeLoop(int employee_id);
   /// Runs on the last barrier arriver: applies both gradient buffers.
+  /// The barrier orders every employee's slot writes before it.
   void ChiefApplyGradients();
   void MaybeSnapshotHeatmap(int episode);
 
@@ -171,10 +173,12 @@ class ChiefEmployeeTrainer {
   std::unique_ptr<RndCuriosity> global_rnd_;
   std::unique_ptr<nn::Adam> intrinsic_optimizer_;
 
-  // Global gradient buffers (Fig. 1 center) and their lock.
-  std::mutex buffer_mu_;
-  std::vector<float> ppo_grad_buffer_;
-  std::vector<float> intrinsic_grad_buffer_;
+  // Global gradient buffers (Fig. 1 center): one flat gradient slot per
+  // employee, written by that employee before the barrier and summed in
+  // employee order by the chief, so the sum does not depend on which
+  // employee finished first.
+  std::vector<std::vector<float>> ppo_grad_slots_;
+  std::vector<std::vector<float>> intrinsic_grad_slots_;
 
   Barrier barrier_;
 

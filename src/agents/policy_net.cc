@@ -52,9 +52,10 @@ PolicyNet::PolicyNet(const PolicyNetConfig& config, cews::Rng& rng)
       std::make_unique<nn::Linear>(config.feature_dim, 1, rng, /*gain=*/1.0f);
 }
 
-PolicyOutput PolicyNet::ForwardImpl(const nn::Tensor& x) const {
-  const nn::Index n = x.dim(0);
-  nn::Tensor feature = trunk_->Forward(x);
+PolicyOutput PolicyNet::ForwardImpl(const nn::Tensor& x,
+                                    nn::RowMapPtr rows) const {
+  nn::Tensor feature = trunk_->Forward(x, std::move(rows));
+  const nn::Index n = feature.dim(0);
 
   PolicyOutput out;
   out.feature = feature;
@@ -67,10 +68,11 @@ PolicyOutput PolicyNet::ForwardImpl(const nn::Tensor& x) const {
   return out;
 }
 
-PolicyOutput PolicyNet::Forward(const nn::Tensor& x) const {
-  if (!nn::graph::GraphModeEnabled() || nn::GradModeEnabled() ||
-      nn::graph::Recording()) {
-    return ForwardImpl(x);
+PolicyOutput PolicyNet::Forward(const nn::Tensor& x,
+                               nn::RowMapPtr rows) const {
+  if (rows != nullptr || !nn::graph::GraphModeEnabled() ||
+      nn::GradModeEnabled() || nn::graph::Recording()) {
+    return ForwardImpl(x, std::move(rows));
   }
 
   // No-grad graph path: one forward-only compiled graph per (net, batch

@@ -69,7 +69,12 @@ class PolicyNet : public nn::Module {
   /// that graph: the next same-shape no-grad Forward on the thread
   /// overwrites them, so read the outputs before forwarding again (every
   /// current caller samples/copies immediately).
-  PolicyOutput Forward(const nn::Tensor& x) const;
+  ///
+  /// With `rows`, x holds the distinct states of a batch that repeats some
+  /// and the outputs have rows->logical() rows (CnnTrunk::Forward); such a
+  /// forward always runs on the tape.
+  PolicyOutput Forward(const nn::Tensor& x,
+                       nn::RowMapPtr rows = nullptr) const;
 
   std::vector<nn::Tensor> Parameters() const override;
 
@@ -78,7 +83,8 @@ class PolicyNet : public nn::Module {
  private:
   /// The trunk+heads DAG itself, shared by the tape path, the serve-graph
   /// recording, and enclosing loss recordings.
-  PolicyOutput ForwardImpl(const nn::Tensor& x) const;
+  PolicyOutput ForwardImpl(const nn::Tensor& x,
+                           nn::RowMapPtr rows = nullptr) const;
 
   PolicyNetConfig config_;
   std::unique_ptr<CnnTrunk> trunk_;

@@ -1,5 +1,6 @@
 #include "agents/ppo.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "agents/eval.h"
@@ -124,17 +125,50 @@ nn::Tensor PpoAgent::ComputeLoss(MiniBatch batch, LossStats* stats) const {
     }
   }
 
+  // How many rows the trunk runs on: the distinct transitions on the tape,
+  // every row in graph mode.
+  static obs::Counter* const minibatch_rows =
+      obs::GetCounter("ppo.minibatch_rows");
+  static obs::Counter* const distinct_rows =
+      obs::GetCounter("ppo.distinct_rows");
+  minibatch_rows->Add(static_cast<uint64_t>(b));
+
   // Graph mode: compile the whole loss once per batch size, then replay it
   // against rewritten placeholders — no per-step tape rebuild.
   if (nn::graph::GraphModeEnabled() && nn::GradModeEnabled() &&
       !nn::graph::Recording()) {
+    distinct_rows->Add(static_cast<uint64_t>(b));
     return GraphLoss(std::move(batch), stats);
+  }
+
+  // A minibatch larger than its buffer draws with replacement and repeats
+  // transitions. The trunk's convs and LayerNorms then run once per
+  // distinct transition, numbered by first occurrence, with every gradient
+  // keeping its bytes (nn/ops.h "RowMap"); the states compact to those rows
+  // in place, which is safe in ascending order because first[u] >= u.
+  nn::RowMapPtr rows;
+  if (!batch.indices.empty() && !nn::graph::Recording()) {
+    CEWS_CHECK_EQ(static_cast<nn::Index>(batch.indices.size()), b);
+    rows = nn::RowMap::Number(batch.indices);
+    if (rows->distinct() == b) rows = nullptr;
+  }
+  const nn::Index trunk_rows = rows != nullptr ? rows->distinct() : b;
+  distinct_rows->Add(static_cast<uint64_t>(trunk_rows));
+  if (rows != nullptr) {
+    const nn::Index size = batch.state_size;
+    float* states = batch.states.data();
+    for (nn::Index u = 0; u < trunk_rows; ++u) {
+      const nn::Index from = rows->first()[u];
+      if (from != u) std::copy_n(states + from * size, size, states + u * size);
+    }
+    batch.states.resize(static_cast<size_t>(trunk_rows * size));
   }
 
   // The packed arrays are adopted wholesale — no per-transition gather.
   nn::Tensor x = nn::Tensor::FromData(
-      {b, cfg.in_channels, cfg.grid, cfg.grid}, std::move(batch.states));
-  const PolicyOutput out = net_->Forward(x);
+      {trunk_rows, cfg.in_channels, cfg.grid, cfg.grid},
+      std::move(batch.states));
+  const PolicyOutput out = net_->Forward(x, std::move(rows));
 
   const std::vector<float> old_logp = std::move(batch.log_probs);
   nn::Tensor logp_old = nn::Tensor::FromData({b}, old_logp);

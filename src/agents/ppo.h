@@ -73,7 +73,10 @@ class PpoAgent {
   /// The minibatch must carry advantages (source buffer had
   /// ComputeAdvantages run). Takes the batch by value and adopts its
   /// arrays, so pass a freshly sampled batch (e.g. buffer.SampleBatch)
-  /// without copying.
+  /// without copying. When the batch's buffer indices repeat (a batch
+  /// larger than its buffer draws with replacement), the trunk's convs and
+  /// LayerNorms run once per distinct transition; the loss and every
+  /// gradient keep the bytes of running every row (nn/ops.h "RowMap").
   nn::Tensor ComputeLoss(MiniBatch batch, LossStats* stats = nullptr) const;
 
   /// Convenience overload: gathers `idx` of `buffer` into a MiniBatch

@@ -128,6 +128,7 @@ MiniBatch RolloutBuffer::GatherBatch(const std::vector<size_t>& idx) const {
   mb.values.resize(b);
   mb.rewards.resize(b);
   mb.dones.resize(b);
+  mb.indices.resize(b);
   if (has_advantages) {
     mb.advantages.resize(b);
     mb.returns.resize(b);
@@ -149,6 +150,7 @@ MiniBatch RolloutBuffer::GatherBatch(const std::vector<size_t>& idx) const {
     mb.values[i] = t.value;
     mb.rewards[i] = t.reward;
     mb.dones[i] = t.done ? 1 : 0;
+    mb.indices[i] = static_cast<int64_t>(src);
     if (has_advantages) {
       mb.advantages[i] = advantages_[src];
       mb.returns[i] = returns_[src];

@@ -39,6 +39,10 @@ struct MiniBatch {
   std::vector<float> values;           ///< [B] behavior V(s_t)
   std::vector<float> rewards;          ///< [B]
   std::vector<uint8_t> dones;          ///< [B] 0/1
+  /// [B] source buffer index of each row (GatherBatch fills it; empty in a
+  /// hand-built batch). PpoAgent::ComputeLoss runs the trunk once per
+  /// distinct index.
+  std::vector<int64_t> indices;
 
   /// Filled only when the source buffer had advantages computed.
   std::vector<float> advantages;  ///< [B]

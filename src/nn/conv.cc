@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
+#include "common/check.h"
 #include "nn/gemm.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -238,10 +240,12 @@ void ForwardImpl(const Plan& s, const float* x, const float* w,
 /// dW lanes [g*W, g*W + W) of taps l0 .. l0+count (count <= kTapBlock) from
 /// one image: each lane's dot over the pixels starts at +0 and is added to
 /// dW once. `dyt` is the image's [ohow][ocp] transposed output gradient.
-/// Entries past `count` repeat the last tap and are dropped.
+/// `kept` (laid out like dW; null when the image is read once) also
+/// receives the dots, for the image's later logical repeats. Entries past
+/// `count` repeat the last tap and are dropped.
 template <typename L>
 void WeightGradTaps(const Plan& s, const float* xp, const float* dyt, Index g,
-                    Index l0, Index count, float* dw) {
+                    Index l0, Index count, float* kept, float* dw) {
   using V = typename L::V;
   const Index lane0 = g * L::kWidth;
   V acc[kTapBlock];
@@ -262,8 +266,10 @@ void WeightGradTaps(const Plan& s, const float* xp, const float* dyt, Index g,
   for (int b = 0; b < kTapBlock; ++b) L::Store(tile[b], acc[b]);
   const Index lanes = std::min<Index>(L::kWidth, s.oc - lane0);
   for (Index j = 0; j < lanes; ++j) {
-    float* row = dw + (lane0 + j) * s.ck2() + l0;
-    for (Index b = 0; b < count; ++b) row[b] += tile[b][j];
+    const Index at = (lane0 + j) * s.ck2() + l0;
+    for (Index b = 0; b < count; ++b) dw[at + b] += tile[b][j];
+    if (kept == nullptr) continue;
+    for (Index b = 0; b < count; ++b) kept[at + b] = tile[b][j];
   }
 }
 
@@ -272,9 +278,11 @@ void WeightGradImpl(const Plan& s, const float* xpad, const float* dy,
                     float* dw, float* db, float* scratch) {
   using V = typename L::V;
   const Index ohow = s.ohow(), ocp = s.ocp, ck2 = s.ck2();
-  float* dyt = scratch;                  // [n][ohow][ocp]
+  float* dyt = scratch;                      // [n][ohow][ocp]
   float* sums = scratch + s.n * ohow * ocp;  // [n][ocp] per-image db
-  // Channel-minor dY per image (pad lanes zero) and its pixel sums.
+  float* dots = sums + s.n * ocp;            // [kept][oc][ck2] kept dW dots
+  // Channel-minor dY per distinct image (pad lanes zero) and its pixel
+  // sums.
   ParallelKernel(s.n, 2 * s.oc * ohow, [&](Index n0, Index n1) {
     for (Index i = n0; i < n1; ++i) {
       float* t = dyt + i * ohow * ocp;
@@ -295,20 +303,31 @@ void WeightGradImpl(const Plan& s, const float* xpad, const float* dy,
     }
   });
   if (db != nullptr) {
-    for (Index i = 0; i < s.n; ++i) {
-      for (Index o = 0; o < s.oc; ++o) db[o] += sums[i * ocp + o];
+    for (const Index u : s.rows) {
+      for (Index o = 0; o < s.oc; ++o) db[o] += sums[u * ocp + o];
     }
   }
   if (dw == nullptr) return;
   // Partitioned over taps: each dW element has one owner, which adds the
-  // images' dots in image order.
+  // logical images' dots in logical order. A distinct image's dots are
+  // computed where it first occurs (rows number distinct images by first
+  // occurrence) and kept for its repeats, which add the kept dots again.
   const Index img_pad = s.c * s.hp * s.wp;
   ParallelKernel(ck2, 2 * s.n * ohow * ocp, [&](Index l0, Index l1) {
-    for (Index i = 0; i < s.n; ++i) {
+    Index fresh = 0;
+    for (const Index u : s.rows) {
+      float* kept = s.keep[u] < 0 ? nullptr : dots + s.keep[u] * s.oc * ck2;
+      if (u < fresh) {
+        for (Index o = 0; o < s.oc; ++o) {
+          for (Index l = l0; l < l1; ++l) dw[o * ck2 + l] += kept[o * ck2 + l];
+        }
+        continue;
+      }
+      ++fresh;
       for (Index g = 0; g * L::kWidth < s.oc; ++g) {
         for (Index l = l0; l < l1; l += kTapBlock) {
-          WeightGradTaps<L>(s, xpad + i * img_pad, dyt + i * ohow * ocp, g, l,
-                            std::min<Index>(kTapBlock, l1 - l), dw);
+          WeightGradTaps<L>(s, xpad + u * img_pad, dyt + u * ohow * ocp, g, l,
+                            std::min<Index>(kTapBlock, l1 - l), kept, dw);
         }
       }
     }
@@ -399,9 +418,33 @@ void InputGradImpl(const Plan& s, const float* w, const float* dy, float* dx,
 }  // namespace
 
 Plan::Plan(Index n_, Index c_, Index h_, Index w_, Index oc_, Index kh_,
-           Index kw_, int stride_, int padding_)
+           Index kw_, int stride_, int padding_,
+           const std::vector<Index>* rows_)
     : n(n_), c(c_), h(h_), w(w_), oc(oc_), kh(kh_), kw(kw_), stride(stride_),
       padding(padding_) {
+  if (rows_ != nullptr) {
+    rows = *rows_;
+  } else {
+    rows.resize(static_cast<size_t>(n));
+    std::iota(rows.begin(), rows.end(), Index{0});
+  }
+  // Every distinct image is numbered where it first occurs; an image read
+  // more than once gets a slot for its kept dots.
+  std::vector<Index> reads(static_cast<size_t>(n), 0);
+  Index fresh = 0;
+  for (const Index u : rows) {
+    CEWS_CHECK_GE(u, 0);
+    CEWS_CHECK_LE(u, fresh) << "conv::Plan: rows must number distinct images "
+                               "by first occurrence";
+    CEWS_CHECK_LT(u, n);
+    if (u == fresh) ++fresh;
+    ++reads[u];
+  }
+  CEWS_CHECK_EQ(fresh, n) << "conv::Plan: a distinct image no row reads";
+  keep.assign(static_cast<size_t>(n), -1);
+  for (Index u = 0; u < n; ++u) {
+    if (reads[u] > 1) keep[u] = kept++;
+  }
   oh = (h + 2 * padding - kh) / stride + 1;
   ow = (w + 2 * padding - kw) / stride + 1;
   hp = h + 2 * padding;

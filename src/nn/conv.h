@@ -23,6 +23,10 @@
 // This is exactly the sequence of the im2col + GEMM lowering Conv2d used
 // before (tests/nn_conv_test.cc pins it against a plain reference), so
 // training checkpoints are bit-identical to that lowering's.
+// With a row map (nn/ops.h "RowMap") the batch holds the distinct images
+// and "images in order" means the logical images: each distinct image's
+// dot and pixel sum is computed once and added once per logical image that
+// reads it, in logical order. y and dX are per image and need no map.
 #ifndef CEWS_NN_CONV_H_
 #define CEWS_NN_CONV_H_
 
@@ -36,8 +40,10 @@ namespace cews::nn::conv {
 /// and the sizes of their scratch (floats). All scratch is caller-owned:
 /// workspace-backed in eager mode, planner-assigned in graph mode.
 struct Plan {
+  /// `rows` (optional) maps logical images to the n distinct ones, numbered
+  /// by first occurrence (nn/ops.h "RowMap"); none means the identity.
   Plan(Index n, Index c, Index h, Index w, Index oc, Index kh, Index kw,
-       int stride, int padding);
+       int stride, int padding, const std::vector<Index>* rows = nullptr);
 
   Index n, c, h, w;   // input  [N, C, H, W]
   Index oc, kh, kw;   // weight [OC, C, KH, KW]
@@ -52,6 +58,13 @@ struct Plan {
   /// pixels[q]: offset of output pixel q's corner (its tap (0, 0, 0))
   /// inside a padded image.
   std::vector<Index> pixels;
+  /// rows[i]: the distinct image logical image i reads.
+  std::vector<Index> rows;
+  /// keep[u]: the slot in which WeightGrad keeps distinct image u's dW dots
+  /// for its later logical images, or -1 when u is read once.
+  std::vector<Index> keep;
+  /// Number of kept-dot slots.
+  Index kept = 0;
 
   Index ck2() const { return c * kh * kw; }
   Index ohow() const { return oh * ow; }
@@ -60,8 +73,10 @@ struct Plan {
   Index PaddedFloats() const { return n * c * hp * wp; }
   /// Forward's transposed weights plus bias row.
   Index ForwardScratchFloats() const { return (ck2() + 1) * ocp; }
-  /// WeightGrad's transposed dY plus per-image bias sums.
-  Index WeightGradScratchFloats() const { return n * (ohow() + 1) * ocp; }
+  /// WeightGrad's transposed dY, per-image bias sums and kept dots.
+  Index WeightGradScratchFloats() const {
+    return n * (ohow() + 1) * ocp + kept * oc * ck2();
+  }
   /// InputGrad's transposed weights plus channel-minor padded dX.
   Index InputGradScratchFloats() const {
     return kh * kw * oc * cp + n * hp * wp * cp;
@@ -74,7 +89,7 @@ void Forward(const Plan& p, const float* x, const float* w, const float* bias,
              float* xpad, float* scratch, float* y);
 
 /// dw += dW and db += db (either may be null) from the padded batch Forward
-/// wrote and the output gradient dy.
+/// wrote and the output gradient dy, over the plan's logical images.
 void WeightGrad(const Plan& p, const float* xpad, const float* dy, float* dw,
                 float* db, float* scratch);
 

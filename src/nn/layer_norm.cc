@@ -130,14 +130,13 @@ void ForwardGroup(const float* x, Index rows, Index f, float eps,
 }
 
 /// One pass over the group's x, out and dy: g and xh per row (kept in
-/// `gs`/`xs` for the dx pass), the gamma/beta gradients with rows in order,
-/// and the two row sums in lanes. Then dx row by row from gs/xs.
+/// `gs`/`xs`, [rows][f] each, for the dx pass, and whenever `keep` is set),
+/// the gamma/beta gradients with rows in order, and the two row sums in
+/// lanes. Then dx row by row from gs/xs.
 void BackwardGroup(const float* x, const float* gamma, const float* out,
                    const float* dy, Index rows, Index f, const float* mu,
                    const float* is, float* dx, float* dgamma, float* dbeta,
-                   float* scratch) {
-  float* gs = scratch;             // [kRows][f] g
-  float* xs = scratch + kRows * f;  // [kRows][f] xh
+                   float* gs, float* xs, bool keep) {
   Index src[kRows];
   F8 muv[kRows], isv[kRows];
   for (Index r = 0; r < kRows; ++r) {
@@ -168,11 +167,12 @@ void BackwardGroup(const float* x, const float* gamma, const float* out,
       for (Index r = 0; r < rows; ++r) acc = _mm256_add_ps(acc, g[r]);
       _mm256_mask_storeu_ps(dbeta + j0, k, acc);
     }
-    if (dx == nullptr) continue;
+    if (dx == nullptr && !keep) continue;
     for (Index r = 0; r < rows; ++r) {
       _mm256_mask_storeu_ps(gs + r * f + j0, k, g[r]);
       _mm256_mask_storeu_ps(xs + r * f + j0, k, xh[r]);
     }
+    if (dx == nullptr) continue;
     Transpose8x8(g);
     Transpose8x8(xh);
     for (Index c = 0; c < cols; ++c) {
@@ -240,9 +240,7 @@ void ForwardGroup(const float* x, Index /*rows*/, Index f, float eps,
 void BackwardGroup(const float* x, const float* gamma, const float* out,
                    const float* dy, Index /*rows*/, Index f, const float* mu,
                    const float* is, float* dx, float* dgamma, float* dbeta,
-                   float* scratch) {
-  float* g = scratch;
-  float* xh = scratch + f;
+                   float* g, float* xh, bool /*keep*/) {
   for (Index j = 0; j < f; ++j) {
     g[j] = 0.0f + dy[j] * (out[j] > 0.0f ? 1.0f : 0.0f);
     xh[j] = (x[j] - *mu) * *is;
@@ -268,9 +266,30 @@ void BackwardGroup(const float* x, const float* gamma, const float* out,
 
 #endif  // CEWS_LN_ROW_LANES
 
+/// The dgamma/dbeta chains of a row-mapped backward: logical rows in order,
+/// each reading its distinct row's kept g and xh (`gs`/`xs`, [n][f]). The
+/// feature loops vectorise.
+void ReplayParamGrads(Index f, const std::vector<Index>& rows, const float* gs,
+                      const float* xs, float* dgamma, float* dbeta) {
+  for (const Index u : rows) {
+    const float* g = gs + u * f;
+    const float* xh = xs + u * f;
+    if (dgamma != nullptr) {
+      for (Index j = 0; j < f; ++j) {
+        dgamma[j] = std::fmaf(g[j], xh[j], dgamma[j]);
+      }
+    }
+    if (dbeta != nullptr) {
+      for (Index j = 0; j < f; ++j) dbeta[j] += g[j];
+    }
+  }
+}
+
 }  // namespace
 
-Index BackwardScratchFloats(Index f) { return 2 * kRows * f; }
+Index BackwardScratchFloats(Index n, Index f, bool mapped) {
+  return 2 * (mapped ? n : kRows) * f;
+}
 
 void Forward(Index n, Index f, float eps, const float* x, const float* gamma,
              const float* beta, float* stats, float* out) {
@@ -284,14 +303,25 @@ void Forward(Index n, Index f, float eps, const float* x, const float* gamma,
 
 void Backward(Index n, Index f, const float* x, const float* gamma,
               const float* out, const float* dy, const float* stats, float* dx,
-              float* dgamma, float* dbeta, float* scratch) {
+              float* dgamma, float* dbeta, float* scratch,
+              const std::vector<Index>* rows) {
   const float* mu = stats;
   const float* is = stats + n;
+  // Unmapped, each row group reuses one group's g/xh scratch and adds its
+  // rows to dgamma/dbeta as it goes. Mapped, every distinct row keeps its
+  // g/xh and the parameter chains replay the logical rows afterwards.
+  const bool mapped = rows != nullptr;
   for (Index i = 0; i < n; i += kRows) {
     const Index at = i * f;
+    float* gs = mapped ? scratch + at : scratch;
+    float* xs = gs + (mapped ? n : kRows) * f;
     BackwardGroup(x + at, gamma, out + at, dy + at, std::min(kRows, n - i), f,
-                  mu + i, is + i, dx != nullptr ? dx + at : nullptr, dgamma,
-                  dbeta, scratch);
+                  mu + i, is + i, dx != nullptr ? dx + at : nullptr,
+                  mapped ? nullptr : dgamma, mapped ? nullptr : dbeta, gs, xs,
+                  mapped);
+  }
+  if (mapped) {
+    ReplayParamGrads(f, *rows, scratch, scratch + n * f, dgamma, dbeta);
   }
 }
 

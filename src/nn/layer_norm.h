@@ -29,6 +29,10 @@
 //      dx[j] += (float)(fma(-(double)xh, mgx, gj - mg) * (double)is).
 //    The backward recomputes xh from x and the saved (float)mu and is,
 //    which reproduces the forward's bits.
+//  * with a row map (nn/ops.h "RowMap"), the n rows are the distinct rows
+//    and dx is computed once per distinct row, while the dgamma and dbeta
+//    chains above run over the logical rows ascending, each reading the g
+//    and xh of the distinct row it maps to.
 // This is the sequence the separate LayerNorm and ReLU ops ran before the
 // fusion, with each multiply-add the compiler used to contract in the
 // native build written out as std::fma/std::fmaf, so native and portable
@@ -36,6 +40,8 @@
 // nest) and training checkpoints are bit-identical to the unfused ops'.
 #ifndef CEWS_NN_LAYER_NORM_H_
 #define CEWS_NN_LAYER_NORM_H_
+
+#include <vector>
 
 #include "nn/tensor.h"
 
@@ -45,8 +51,9 @@ namespace cews::nn::layer_norm {
 /// for each of n rows (floats).
 inline Index StatsFloats(Index n) { return 2 * n; }
 
-/// Backward's scratch (floats): one row group's g and xh.
-Index BackwardScratchFloats(Index f);
+/// Backward's scratch (floats): one row group's g and xh, or with a row map
+/// every one of the n distinct rows' g and xh.
+Index BackwardScratchFloats(Index n, Index f, bool mapped);
 
 /// out [n, f] = relu(gamma * xhat(x) + beta); writes `stats`
 /// (StatsFloats(n)). `out` may be `x` (in place).
@@ -54,10 +61,12 @@ void Forward(Index n, Index f, float eps, const float* x, const float* gamma,
              const float* beta, float* stats, float* out);
 
 /// dx += dX, dgamma += dGamma, dbeta += dBeta (each may be null) from the
-/// forward's x, output and statistics and the output gradient dy.
+/// forward's x, output and statistics and the output gradient dy. `rows`
+/// (optional) maps the logical rows to the n distinct ones.
 void Backward(Index n, Index f, const float* x, const float* gamma,
               const float* out, const float* dy, const float* stats, float* dx,
-              float* dgamma, float* dbeta, float* scratch);
+              float* dgamma, float* dbeta, float* scratch,
+              const std::vector<Index>* rows = nullptr);
 
 }  // namespace cews::nn::layer_norm
 

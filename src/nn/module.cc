@@ -1,5 +1,7 @@
 #include "nn/module.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "nn/init.h"
 
@@ -46,8 +48,8 @@ Conv2dLayer::Conv2dLayer(Index in_channels, Index out_channels, int kernel,
   bias_ = Tensor::Zeros({out_channels}, /*requires_grad=*/true);
 }
 
-Tensor Conv2dLayer::Forward(const Tensor& x) const {
-  return Conv2d(x, weight_, bias_, stride_, padding_);
+Tensor Conv2dLayer::Forward(const Tensor& x, RowMapPtr rows) const {
+  return Conv2d(x, weight_, bias_, stride_, padding_, std::move(rows));
 }
 
 std::vector<Tensor> Conv2dLayer::Parameters() const {
@@ -60,8 +62,8 @@ LayerNormRelu::LayerNormRelu(Index features) {
   beta_ = Tensor::Zeros({features}, /*requires_grad=*/true);
 }
 
-Tensor LayerNormRelu::Forward(const Tensor& x) const {
-  return LayerNormReluOp(x, gamma_, beta_);
+Tensor LayerNormRelu::Forward(const Tensor& x, RowMapPtr rows) const {
+  return LayerNormReluOp(x, gamma_, beta_, std::move(rows));
 }
 
 std::vector<Tensor> LayerNormRelu::Parameters() const {

@@ -53,8 +53,9 @@ class Conv2dLayer : public Module {
   Conv2dLayer(Index in_channels, Index out_channels, int kernel, int stride,
               int padding, cews::Rng& rng);
 
-  /// x: [N, C, H, W] -> [N, O, OH, OW].
-  Tensor Forward(const Tensor& x) const;
+  /// x: [N, C, H, W] -> [N, O, OH, OW]. With `rows`, x holds the distinct
+  /// images of a batch that repeats some (nn/ops.h "RowMap").
+  Tensor Forward(const Tensor& x, RowMapPtr rows = nullptr) const;
   std::vector<Tensor> Parameters() const override;
 
   int stride() const { return stride_; }
@@ -75,7 +76,9 @@ class LayerNormRelu : public Module {
   /// `features` = product of the normalized (non-batch) dims.
   explicit LayerNormRelu(Index features);
 
-  Tensor Forward(const Tensor& x) const;
+  /// With `rows`, x holds the distinct rows of a batch that repeats some
+  /// (nn/ops.h "RowMap").
+  Tensor Forward(const Tensor& x, RowMapPtr rows = nullptr) const;
   std::vector<Tensor> Parameters() const override;
 
  private:

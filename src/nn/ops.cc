@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -792,8 +794,37 @@ Tensor Checkpoint(const Tensor& t) {
   return t;
 }
 
+std::shared_ptr<const RowMap> RowMap::Number(const std::vector<Index>& keys) {
+  auto map = std::make_shared<RowMap>();
+  std::unordered_map<Index, Index> number;
+  number.reserve(keys.size());
+  map->rows_.reserve(keys.size());
+  for (const Index key : keys) {
+    CEWS_CHECK_GE(key, 0);
+    const auto [it, fresh] =
+        number.emplace(key, static_cast<Index>(map->first_.size()));
+    if (fresh) map->first_.push_back(static_cast<Index>(map->rows_.size()));
+    map->rows_.push_back(it->second);
+  }
+  return map;
+}
+
+namespace {
+
+/// CHECKs that a row map fits a batch of `n` distinct rows and that no
+/// graph is recording (row maps are tape-only).
+void CheckRowMap(const RowMapPtr& rows, Index n, const char* op) {
+  if (rows == nullptr) return;
+  CEWS_CHECK(!graph::Recording())
+      << op << ": row maps do not run under a graph recording";
+  CEWS_CHECK_EQ(n, rows->distinct())
+      << op << ": the batch must hold the map's distinct rows";
+}
+
+}  // namespace
+
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
-              int stride, int padding) {
+              int stride, int padding, RowMapPtr rows) {
   CEWS_CHECK_EQ(x.ndim(), 4);
   CEWS_CHECK_EQ(w.ndim(), 4);
   CEWS_CHECK_GE(stride, 1);
@@ -805,9 +836,10 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   }
   CEWS_CHECK_GE(x.dim(2) + 2 * padding, w.dim(2));
   CEWS_CHECK_GE(x.dim(3) + 2 * padding, w.dim(3));
+  CheckRowMap(rows, x.dim(0), "Conv2d");
   auto plan = std::make_shared<const conv::Plan>(
       x.dim(0), x.dim(1), x.dim(2), x.dim(3), w.dim(0), w.dim(2), w.dim(3),
-      stride, padding);
+      stride, padding, rows != nullptr ? &rows->rows() : nullptr);
   const conv::Plan& s = *plan;
 
   // FLOPs of one batched conv product: multiply + add per (image, output
@@ -890,13 +922,14 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
 }
 
 Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
-                       const Tensor& beta, float eps) {
+                       const Tensor& beta, RowMapPtr rows, float eps) {
   CEWS_CHECK_GE(x.ndim(), 2);
   const Index n = x.dim(0);
   CEWS_CHECK_GT(n, 0);
   const Index f = x.numel() / n;
   CEWS_CHECK_EQ(gamma.numel(), f);
   CEWS_CHECK_EQ(beta.numel(), f);
+  CheckRowMap(rows, n, "LayerNormReluOp");
   const bool rec = graph::Recording();
   Tensor r = NewResult(x.shape(), {x, gamma, beta});
   const bool track = Tracking(r);
@@ -932,12 +965,13 @@ Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
   graph::Record(r, {x, gamma, beta}, fwd);
   if (!track) return r;
 
-  const Index bwd_floats = layer_norm::BackwardScratchFloats(f);
+  const Index bwd_floats =
+      layer_norm::BackwardScratchFloats(n, f, rows != nullptr);
   std::shared_ptr<OpBuf> bwd_buf =
       rec ? graph::AllocBuf(bwd_floats, BufLife::kBwd) : nullptr;
   r.impl()->backward_fn = [o = r.impl().get(), ix = x.impl(), ig = gamma.impl(),
                            ib = beta.impl(), n, f, stats, bwd_buf, bwd_floats,
-                           need_dx, need_dg, need_db, bwd_flops]() {
+                           rows, need_dx, need_dg, need_db, bwd_flops]() {
     CEWS_TRACE_SCOPE("nn.LayerNormRelu.bwd");
     const uint64_t t0 = Stopwatch::NowNs();
     ScopedVec local(bwd_buf ? 0 : bwd_floats);
@@ -949,10 +983,48 @@ Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
                          need_dx ? ix->grad.data() : nullptr,
                          need_dg ? ig->grad.data() : nullptr,
                          need_db ? ib->grad.data() : nullptr,
-                         bwd_buf ? bwd_buf->data() : local.data());
+                         bwd_buf ? bwd_buf->data() : local.data(),
+                         rows != nullptr ? &rows->rows() : nullptr);
     KernelMetrics& metrics = LayerNormMetrics();
     metrics.bwd_flops->Add(bwd_flops);
     metrics.bwd_ns->Add(Stopwatch::NowNs() - t0);
+  };
+  return r;
+}
+
+Tensor ExpandRows(const Tensor& x, const RowMapPtr& rows) {
+  CEWS_CHECK(rows != nullptr);
+  CEWS_CHECK_GE(x.ndim(), 1);
+  CheckRowMap(rows, x.dim(0), "ExpandRows");
+  const Index row = x.numel() / rows->distinct();
+  Shape shape = x.shape();
+  shape[0] = rows->logical();
+  Tensor r = NewResult(std::move(shape), {x});
+  const float* px = x.data();
+  float* po = r.data();
+  for (Index i = 0; i < rows->logical(); ++i) {
+    std::copy_n(px + rows->rows()[static_cast<size_t>(i)] * row, row,
+                po + i * row);
+  }
+  if (!Tracking(r)) return r;
+  r.impl()->backward_fn = [o = r.impl().get(), ix = x.impl(), rows, row]() {
+    ix->EnsureGrad();
+    const float* dy = o->grad.data();
+    float* dx = ix->grad.data();
+    for (Index i = 0; i < rows->logical(); ++i) {
+      const Index u = rows->rows()[static_cast<size_t>(i)];
+      const Index first = rows->first()[static_cast<size_t>(u)];
+      if (i == first) {
+        for (Index j = 0; j < row; ++j) dx[u * row + j] += dy[i * row + j];
+      } else {
+        CEWS_CHECK(std::memcmp(dy + i * row, dy + first * row,
+                               static_cast<size_t>(row) * sizeof(float)) == 0)
+            << "ExpandRows: logical rows " << first << " and " << i
+            << " of distinct row " << u
+            << " carry different gradients; the loss after the row map "
+               "must treat repeated rows alike";
+      }
+    }
   };
   return r;
 }

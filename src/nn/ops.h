@@ -86,16 +86,71 @@ Tensor GatherLastDim(const Tensor& x,
 /// backward. Identity (returns `t` unchanged) in every mode.
 Tensor Checkpoint(const Tensor& t);
 
+/// Row maps: a batch that repeats rows, run once per distinct row.
+///
+/// A PPO minibatch drawn with replacement holds a transition as often as it
+/// was drawn. A RowMap lets Conv2d and LayerNormReluOp run on the distinct
+/// rows only while every parameter gradient keeps the bytes the expanded
+/// batch gives it:
+///  * Logical row i of the batch reads distinct row rows()[i]. Distinct rows
+///    are numbered by first occurrence, so first()[u] >= u. A tensor paired
+///    with a map holds only the distinct rows in dim 0.
+///  * Forward: each distinct row's output bytes equal that row's output in
+///    the expanded batch.
+///  * Conv dW: one fresh per-image dot per distinct image, added to dW once
+///    per logical image in logical order (the sequence nn/conv.h promises).
+///    Conv db replays the per-image pixel sums the same way.
+///  * Conv dX and LayerNorm dx: computed once per distinct row from that
+///    row's output gradient.
+///  * LayerNorm dgamma and dbeta: the fmaf(g, xh, acc) and acc + g chains
+///    run over the logical rows in order, each reading g and xh from its
+///    distinct row. A chain of fmas cannot be scaled by a count, so it
+///    visits every logical row.
+///  * ExpandRows restores the logical rows. Its backward gives distinct row
+///    u the gradient of its first logical row and CHECKs that every later
+///    logical row of u carries the same bytes. That holds when everything
+///    after it is row-wise, as the policy's FC, heads and PPO loss are; the
+///    equality is what makes the replay exact, and the CHECK stops a
+///    cross-row loss from silently getting a wrong gradient.
+/// Row maps are tape-only: under a graph recording (nn/graph.h) the ops
+/// CHECK that none is passed. A map without repeats (the identity) runs the
+/// same code; callers pass none when nothing repeats.
+class RowMap {
+ public:
+  /// Numbers `keys` by first occurrence: logical row i reads the distinct
+  /// row of the first logical row with key keys[i]. Keys must be >= 0.
+  static std::shared_ptr<const RowMap> Number(const std::vector<Index>& keys);
+
+  Index logical() const { return static_cast<Index>(rows_.size()); }
+  Index distinct() const { return static_cast<Index>(first_.size()); }
+  /// rows()[i]: the distinct row logical row i reads.
+  const std::vector<Index>& rows() const { return rows_; }
+  /// first()[u]: the first logical row reading distinct row u (ascending).
+  const std::vector<Index>& first() const { return first_; }
+
+ private:
+  std::vector<Index> rows_, first_;
+};
+using RowMapPtr = std::shared_ptr<const RowMap>;
+
 /// 2-D convolution. x: [N, C, H, W], w: [O, C, KH, KW], optional bias [O]
-/// (pass an undefined Tensor for no bias). Zero padding.
+/// (pass an undefined Tensor for no bias). Zero padding. With `rows`, x
+/// holds the distinct images of rows->logical() logical ones (RowMap).
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
-              int stride, int padding);
+              int stride, int padding, RowMapPtr rows = nullptr);
 
 /// Layer normalization over all non-batch dims of x [N, ...] followed by
 /// ReLU, in one kernel (nn/layer_norm.h): relu(gamma * xhat + beta), where
-/// gamma/beta are flat [features] and features = numel/N.
+/// gamma/beta are flat [features] and features = numel/N. With `rows`, x
+/// holds the distinct rows of rows->logical() logical ones (RowMap).
 Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
-                       const Tensor& beta, float eps = 1e-5f);
+                       const Tensor& beta, RowMapPtr rows = nullptr,
+                       float eps = 1e-5f);
+
+/// out[i] = x[rows->rows()[i]]: the logical rows of a tensor holding only
+/// the distinct ones (RowMap). x: [rows->distinct(), ...] ->
+/// [rows->logical(), ...].
+Tensor ExpandRows(const Tensor& x, const RowMapPtr& rows);
 
 /// Looks up rows of `table` [V, D] at `ids` -> [ids.size(), D].
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<Index>& ids);

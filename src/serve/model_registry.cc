@@ -33,12 +33,13 @@ ModelRegistry::ModelRegistry(const std::vector<nn::Tensor>& initial,
     snapshot->quant = std::make_shared<const nn::quant::QuantizedParams>(
         agents::QuantizePolicyParams(snapshot->params));
   }
-  current_.store(std::move(snapshot), std::memory_order_release);
+  current_ = std::move(snapshot);
 }
 
 std::shared_ptr<const ModelRegistry::Snapshot> ModelRegistry::Acquire()
     const {
-  return current_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mu_);
+  return current_;
 }
 
 Status ModelRegistry::Publish(const std::vector<nn::Tensor>& params) {
@@ -73,12 +74,12 @@ Status ModelRegistry::Publish(const std::vector<nn::Tensor>& params) {
         agents::QuantizePolicyParams(snapshot->params));
   }
   uint64_t published_epoch = 0;
+  std::shared_ptr<const Snapshot> previous;  // released outside the lock
   {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    published_epoch =
-        current_.load(std::memory_order_relaxed)->epoch + 1;
+    std::lock_guard<std::mutex> lock(mu_);
+    published_epoch = current_->epoch + 1;
     snapshot->epoch = published_epoch;
-    current_.store(std::move(snapshot), std::memory_order_release);
+    previous = std::exchange(current_, std::move(snapshot));
     epoch_.store(published_epoch, std::memory_order_relaxed);
   }
   static obs::Counter* const swaps = obs::GetCounter("serve.hot_swaps");

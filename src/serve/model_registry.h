@@ -1,17 +1,20 @@
-// cews::serve — lock-free model hot-swap, single- and multi-scenario.
+// cews::serve — model hot-swap, single- and multi-scenario.
 //
 // ModelRegistry decouples parameter publication (a trainer finishing an
 // update round, or a checkpoint watcher reloading from disk) from inference
 // (server workers running batched Forwards): Publish() clones the new
-// parameter values into an immutable snapshot and swaps an atomic pointer;
-// Acquire() is a single atomic shared_ptr load on the inference hot path.
-// A request is served entirely by the snapshot captured at dequeue time, so
-// a swap can never expose a torn half-old/half-new parameter set, and
-// publication never blocks in-flight inference.
+// parameter values into an immutable snapshot outside any lock, then swaps
+// the current pointer under a mutex; Acquire() copies the pointer under the
+// same mutex, once per batch on the inference hot path. The lock covers
+// only a pointer copy or swap, never a clone, a quantization or a
+// snapshot's destruction. A request is served entirely by the snapshot
+// captured at dequeue time, so a swap can never expose a torn
+// half-old/half-new parameter set, and publication never waits for
+// in-flight inference.
 //
 // ScenarioRegistry maps scenario names ("cities") to independent
 // ModelRegistry instances. The name set is fixed at construction, so Find()
-// needs no lock on the hot path — only each registry's own atomics. One
+// needs no lock on the hot path — only each registry's own mutex. One
 // serving fleet holds one ScenarioRegistry shared by every shard: publishing
 // scenario A's parameters can never perturb requests being served under
 // scenario B, because they resolve to different ModelRegistry objects.
@@ -63,14 +66,15 @@ class ModelRegistry {
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
-  /// The current snapshot (lock-free: one atomic load + refcount bump).
+  /// The current snapshot (a pointer copy under the registry's mutex).
   /// The returned pointer keeps the snapshot alive for as long as the
   /// caller holds it, regardless of concurrent Publishes.
   std::shared_ptr<const Snapshot> Acquire() const;
 
   /// Clones `params` into a fresh snapshot and swaps it in as the current
   /// one. Concurrent publishers are serialized against each other; readers
-  /// are never blocked. Shapes must match the initial set pairwise —
+  /// wait at most for the pointer swap. Shapes must match the initial set
+  /// pairwise —
   /// returns InvalidArgument otherwise, leaving the current snapshot
   /// untouched.
   Status Publish(const std::vector<nn::Tensor>& params);
@@ -94,10 +98,13 @@ class ModelRegistry {
   bool quantizes() const { return quantize_; }
 
  private:
-  std::atomic<std::shared_ptr<const Snapshot>> current_;
-  /// Mirrors current_->epoch; updated inside the writer lock in Publish.
+  /// Guards current_. A plain shared_ptr behind a mutex rather than
+  /// std::atomic<std::shared_ptr>: GCC 12 guards the atomic with a lock bit
+  /// ThreadSanitizer cannot see, so TSan reported Publish/Acquire races.
+  mutable std::mutex mu_;
+  std::shared_ptr<const Snapshot> current_;
+  /// Mirrors current_->epoch; updated under mu_ in Publish.
   std::atomic<uint64_t> epoch_{0};
-  std::mutex publish_mu_;  ///< Serializes writers only.
   const bool quantize_ = false;
 };
 

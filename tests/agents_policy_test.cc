@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "agents/eval.h"
 #include "agents/ppo.h"
 #include "nn/params.h"
+#include "obs/metrics.h"
 
 namespace cews::agents {
 namespace {
@@ -251,6 +253,72 @@ TEST(PpoAgentTest, ValueHeadRegressesToReturns) {
     agent.UpdateStandalone(buffer, rng, 4, 16);
   }
   EXPECT_NEAR(agent.Value(state), 1.0f, 0.3f);
+}
+
+TEST(PpoAgentTest, RepeatedTransitionsKeepTheGradientBits) {
+  // Table II's batch of 250 drawn from one 100-step episode repeats
+  // transitions, and ComputeLoss then runs the trunk once per distinct one
+  // (nn/ops.h "RowMap"). The same minibatch without its buffer indices runs
+  // the trunk on every row; the loss, the diagnostics and every parameter
+  // gradient must keep their bytes.
+  const PolicyNetConfig c;  // the paper net
+  PpoAgent agent(c, PpoConfig{}, 21);
+  Rng rng(22);
+  RolloutBuffer buffer;
+  for (int t = 0; t < 100; ++t) {
+    std::vector<float> state = ZeroState(c);
+    for (float& v : state) {
+      v = rng.Uniform() < 0.3 ? 0.0f : static_cast<float>(rng.Uniform());
+    }
+    const ActResult act = agent.Act(state, rng);
+    Transition tr;
+    tr.state = std::move(state);
+    tr.moves = act.moves;
+    tr.charges = act.charges;
+    tr.log_prob = act.log_prob;
+    tr.value = act.value;
+    tr.reward = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    tr.done = t == 99;
+    buffer.Add(std::move(tr));
+  }
+  buffer.ComputeAdvantages(0.99f, 0.95f, 0.0f);
+  const MiniBatch drawn = buffer.SampleBatch(250, rng);
+  MiniBatch unnumbered = drawn;
+  unnumbered.indices.clear();
+
+  struct Run {
+    std::vector<float> loss_and_grads;
+    LossStats stats;
+    uint64_t rows = 0, distinct = 0;
+  };
+  const auto run = [&agent](MiniBatch mb) {
+    const auto count = [](const char* name) {
+      return obs::SnapshotMetrics().CounterValue(name);
+    };
+    const uint64_t rows0 = count("ppo.minibatch_rows");
+    const uint64_t distinct0 = count("ppo.distinct_rows");
+    Run r;
+    nn::ZeroGradients(agent.Parameters());
+    nn::Tensor loss = agent.ComputeLoss(std::move(mb), &r.stats);
+    loss.Backward();
+    r.loss_and_grads = nn::FlattenGradients(agent.Parameters());
+    r.loss_and_grads.push_back(loss.item());
+    r.rows = count("ppo.minibatch_rows") - rows0;
+    r.distinct = count("ppo.distinct_rows") - distinct0;
+    return r;
+  };
+  const Run want = run(unnumbered);
+  const Run got = run(drawn);
+  EXPECT_EQ(want.rows, 250u);
+  EXPECT_EQ(want.distinct, 250u);
+  EXPECT_EQ(got.rows, 250u);
+  EXPECT_LE(got.distinct, 100u);  // about 92 of the 100 transitions
+  EXPECT_GT(got.distinct, 80u);
+  ASSERT_EQ(want.loss_and_grads.size(), got.loss_and_grads.size());
+  EXPECT_EQ(std::memcmp(want.loss_and_grads.data(), got.loss_and_grads.data(),
+                        want.loss_and_grads.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(&want.stats, &got.stats, sizeof(LossStats)), 0);
 }
 
 }  // namespace

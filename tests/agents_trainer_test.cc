@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "baselines/dppo.h"
 #include "env/map.h"
+#include "nn/params.h"
 
 namespace cews::agents {
 namespace {
@@ -79,6 +82,27 @@ TEST(TrainerTest, SingleEmployeeIsDeterministic) {
     EXPECT_DOUBLE_EQ(ra.history[i].kappa, rb.history[i].kappa);
     EXPECT_DOUBLE_EQ(ra.history[i].extrinsic_reward,
                      rb.history[i].extrinsic_reward);
+  }
+}
+
+TEST(TrainerTest, ManyEmployeesAreDeterministic) {
+  // The chief sums the employees' gradient slots in employee order, so an
+  // update does not depend on which employee reached the barrier first:
+  // two trainings end at the same parameter bytes with 3 and 8 employees.
+  for (const int employees : {3, 8}) {
+    const TrainerConfig config = TinyTrainer(employees, /*episodes=*/3);
+    const env::Map map = SmallMap();
+    std::vector<float> params[2];
+    for (std::vector<float>& p : params) {
+      ChiefEmployeeTrainer trainer(config, map);
+      trainer.Train();
+      p = nn::FlattenValues(trainer.global_net().Parameters());
+    }
+    ASSERT_EQ(params[0].size(), params[1].size());
+    EXPECT_EQ(std::memcmp(params[0].data(), params[1].data(),
+                          params[0].size() * sizeof(float)),
+              0)
+        << employees << " employees";
   }
 }
 

@@ -85,9 +85,16 @@ TEST(ObsIntegrationTest, ShortTrainingRunPopulatesEveryInstrumentedPhase) {
         "nn.conv2d.bwd_flops", "nn.conv2d.bwd_ns", "nn.layer_norm.calls",
         "nn.layer_norm.fwd_flops", "nn.layer_norm.fwd_ns",
         "nn.layer_norm.bwd_flops", "nn.layer_norm.bwd_ns", "threadpool.regions",
-        "threadpool.chunks", "threadpool.busy_ns"}) {
+        "threadpool.chunks", "threadpool.busy_ns", "ppo.minibatch_rows",
+        "ppo.distinct_rows"}) {
     EXPECT_GT(snap.CounterValue(name), 0u) << "empty counter: " << name;
   }
+  // Each employee's minibatch of 16 is drawn from its 16-step episode
+  // without replacement, so every row is distinct: employees * episodes *
+  // update epochs * batch rows.
+  EXPECT_EQ(snap.CounterValue("ppo.minibatch_rows"), 2u * 2u * 2u * 16u);
+  EXPECT_EQ(snap.CounterValue("ppo.distinct_rows"),
+            snap.CounterValue("ppo.minibatch_rows"));
 
   // Duration histograms for every instrumented phase.
   for (const char* name :

@@ -12,9 +12,11 @@
 # quantization/kernel tests (nn_quant_test, agents_quant_forward_test,
 # serve_quant_test), and an int8 guard requires the whole int8 serving
 # forward (and the int8 trunk-FC product) to stay at or above fp32's speed.
-# A portable build (-DCEWS_NATIVE_ARCH=OFF) runs the conv, LayerNorm and
-# int8 spec tests on scalar lanes and scalar rows, which must give the
-# bytes the vector lanes and row lanes give.
+# A portable build (-DCEWS_NATIVE_ARCH=OFF) runs the conv, LayerNorm,
+# row-map and int8 spec tests on scalar lanes and scalar rows, which must
+# give the bytes the vector lanes and row lanes give. Both sanitizer passes
+# include the row-map spec (nn_row_map_test) and the PPO loss on repeated
+# transitions (agents_policy_test).
 # Run from anywhere; builds land in build/, build-portable/, build-tsan/,
 # and build-asan/.
 #
@@ -37,19 +39,21 @@ cmake --build "$repo/build" -j "$jobs"
 echo "== tier-1: ctest =="
 (cd "$repo/build" && ctest --output-on-failure -j "$jobs")
 
-echo "== nn: portable-lane conv, LayerNorm and int8 spec =="
+echo "== nn: portable-lane conv, LayerNorm, row-map and int8 spec =="
 # Without -march=native the direct conv kernels run on scalar std::fmaf
 # lanes, the fused LayerNorm + ReLU kernel one row at a time and the int8
 # kernels their scalar loops. They must match the same plain references the
-# vector builds match in the tier-1 build, byte for byte.
+# vector builds match in the tier-1 build, byte for byte, and the row-mapped
+# ops must match the expanded batch there too.
 cmake -B "$repo/build-portable" -S "$repo" \
   -DCEWS_NATIVE_ARCH=OFF \
   -DCEWS_BUILD_BENCHMARKS=OFF \
   -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$repo/build-portable" -j "$jobs" --target nn_conv_test \
-  nn_layer_norm_test nn_quant_test agents_quant_forward_test
+  nn_layer_norm_test nn_row_map_test nn_quant_test agents_quant_forward_test
 "$repo/build-portable/tests/nn_conv_test"
 "$repo/build-portable/tests/nn_layer_norm_test"
+"$repo/build-portable/tests/nn_row_map_test"
 "$repo/build-portable/tests/nn_quant_test"
 "$repo/build-portable/tests/agents_quant_forward_test"
 
@@ -160,9 +164,10 @@ else
     -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$repo/build-tsan" -j "$jobs" --target \
     common_thread_pool_test nn_parallel_determinism_test nn_gemm_test \
-    nn_conv_test nn_layer_norm_test nn_workspace_test \
+    nn_conv_test nn_layer_norm_test nn_row_map_test nn_workspace_test \
     nn_quant_test agents_quant_forward_test nn_graph_test \
-    agents_graph_equivalence_test agents_trainer_test agents_async_test \
+    agents_graph_equivalence_test agents_policy_test agents_trainer_test \
+    agents_async_test \
     obs_metrics_test obs_trace_test obs_integration_test \
     obs_rolling_test obs_flight_test \
     serve_batcher_test serve_server_test serve_fleet_test serve_trace_test \
@@ -170,7 +175,7 @@ else
 
   echo "== tsan: concurrency tests =="
   (cd "$repo/build-tsan" && ctest --output-on-failure -j "$jobs" -R \
-    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_workspace_test|nn_quant_test|agents_quant_forward_test|nn_graph_test|agents_graph_equivalence_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
+    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_row_map_test|nn_workspace_test|nn_quant_test|agents_quant_forward_test|nn_graph_test|agents_graph_equivalence_test|agents_policy_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 fi
 
 if [[ "$skip_asan" == 1 ]]; then
@@ -183,8 +188,9 @@ else
     -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$repo/build-asan" -j "$jobs" --target \
     env_vec_env_test agents_trainer_core_test agents_vec_equivalence_test \
-    agents_trainer_test agents_async_test nn_gemm_test nn_conv_test \
-    nn_layer_norm_test nn_workspace_test nn_quant_test \
+    agents_policy_test agents_trainer_test agents_async_test nn_gemm_test \
+    nn_conv_test nn_layer_norm_test nn_row_map_test nn_workspace_test \
+    nn_quant_test \
     agents_quant_forward_test nn_graph_test agents_graph_equivalence_test \
     nn_serialize_test obs_rolling_test obs_flight_test \
     serve_batcher_test serve_server_test serve_fleet_test serve_trace_test \
@@ -192,7 +198,7 @@ else
 
   echo "== asan+ubsan: vec acting + serve + dist path tests =="
   (cd "$repo/build-asan" && ctest --output-on-failure -j "$jobs" -R \
-    "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_workspace_test|nn_quant_test|agents_quant_forward_test|nn_graph_test|agents_graph_equivalence_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
+    "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_policy_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_row_map_test|nn_workspace_test|nn_quant_test|agents_quant_forward_test|nn_graph_test|agents_graph_equivalence_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 
   echo "== graph: checkpoint bitwise guard =="
   # Gradient checkpointing must never change training numerics: replaying
