@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "agents/policy_net.h"
@@ -34,6 +35,7 @@
 #include "nn/ops.h"
 #include "nn/params.h"
 #include "nn/workspace.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -184,6 +186,23 @@ void BM_PolicyNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyNetForward)->Arg(12)->Arg(20);
 
+// The acting forward of the paper net (grid 20, conv 8/16/16, FC 400->256,
+// heads 34/4/1) on one state: what every rollout step of train_paper pays.
+void BM_PolicyNetForwardPaper(benchmark::State& state) {
+  Rng rng(6);
+  agents::PolicyNet net(agents::PolicyNetConfig{}, rng);
+  const agents::PolicyNetConfig& cfg = net.config();
+  nn::Tensor x = nn::Tensor::Zeros({1, cfg.in_channels, cfg.grid, cfg.grid});
+  for (nn::Index i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.Uniform(0, 1));
+  }
+  nn::NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.Forward(x));
+  }
+}
+BENCHMARK(BM_PolicyNetForwardPaper)->Unit(benchmark::kMicrosecond);
+
 // The vectorized acting path's inference shape: one Forward over a
 // [batch, C, g, g] stack of per-env states. items_per_second counts env
 // states, so dividing by BM_PolicyNetForward's rate gives the per-state
@@ -285,7 +304,9 @@ BENCHMARK(BM_PpoLossBackward)
 // episode, so about 92 of its rows are distinct transitions. rows:0 keeps
 // the minibatch's buffer indices, and ComputeLoss runs the trunk once per
 // distinct transition (nn/ops.h "RowMap"); rows:1 clears them, and the
-// trunk runs every row. Both give the same gradient bits.
+// trunk runs every row. Both give the same gradient bits. matmul_fwd_ms and
+// matmul_bwd_ms are the nn.matmul.{fwd,bwd}_ns counters per update: the
+// FC's and heads' share of the time.
 void BM_PpoLossBackwardPaper(benchmark::State& state) {
   PoolGuard pool(state, /*arg_index=*/0);
   const bool every_row = state.range(1) != 0;
@@ -293,6 +314,13 @@ void BM_PpoLossBackwardPaper(benchmark::State& state) {
   const agents::RolloutBuffer buffer = FillPpoBuffer(agent, 100);
   Rng rng(9);
   int64_t distinct = 0;
+  const auto matmul_ns = [] {
+    const obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+    return std::pair<uint64_t, uint64_t>{
+        snap.CounterValue("nn.matmul.fwd_ns"),
+        snap.CounterValue("nn.matmul.bwd_ns")};
+  };
+  const auto ns0 = matmul_ns();
   for (auto _ : state) {
     state.PauseTiming();
     agents::MiniBatch mb = buffer.SampleBatch(250, rng);
@@ -305,8 +333,14 @@ void BM_PpoLossBackwardPaper(benchmark::State& state) {
     loss.Backward();
     benchmark::DoNotOptimize(loss.item());
   }
+  const auto ns1 = matmul_ns();
+  const double per_update_ms = 1e-6 / static_cast<double>(state.iterations());
   state.counters["distinct_share"] =
       static_cast<double>(distinct) / (250.0 * state.iterations());
+  state.counters["matmul_fwd_ms"] =
+      static_cast<double>(ns1.first - ns0.first) * per_update_ms;
+  state.counters["matmul_bwd_ms"] =
+      static_cast<double>(ns1.second - ns0.second) * per_update_ms;
   state.SetItemsProcessed(state.iterations() * 250);
 }
 BENCHMARK(BM_PpoLossBackwardPaper)
@@ -432,6 +466,43 @@ void BM_GemmNT(benchmark::State& state) {
 BENCHMARK(BM_GemmNT)
     ->ArgNames({"n", "packed"})
     ->ArgsProduct({{64, 256}, {0, 1}});
+
+// The paper net's FC (400->256) and heads (256->34 moves, 256->4 charges,
+// 256->1 value) as the GEMM layer runs them, at m = 1 (acting), 14 (a
+// serve_control batch), 92 (the distinct rows of a paper minibatch) and 250
+// (all of its rows): product 0 is the forward C = X·W, 1 is dX = dY·Wᵀ
+// (NT), 2 is dW = Xᵀ·dY (NN with A read transposed). Serial;
+// items_per_second is FLOP/s.
+void BM_GemmPolicyShapes(benchmark::State& state) {
+  static constexpr nn::Index kIn[] = {400, 256, 256, 256};
+  static constexpr nn::Index kOut[] = {256, 34, 4, 1};
+  const nn::Index in = kIn[state.range(0)], out = kOut[state.range(0)];
+  const nn::Index m = state.range(1);
+  const int product = static_cast<int>(state.range(2));
+  const std::vector<float> x = RandomBuffer(m * in, 15);
+  const std::vector<float> w = RandomBuffer(in * out, 16);
+  const std::vector<float> dy = RandomBuffer(m * out, 17);
+  std::vector<float> c(static_cast<size_t>(std::max(m, in) * out + m * in),
+                       0.0f);
+  for (auto _ : state) {
+    if (product == 0) {
+      nn::gemm::GemmNN(m, out, in, x.data(), in, 1, w.data(), out, c.data(),
+                       out);
+    } else if (product == 1) {
+      nn::gemm::GemmNT(m, in, out, dy.data(), out, w.data(), out, c.data(),
+                       in);
+    } else {
+      nn::gemm::GemmNN(in, out, m, x.data(), 1, in, dy.data(), out, c.data(),
+                       out);
+    }
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * in * out);
+}
+BENCHMARK(BM_GemmPolicyShapes)
+    ->ArgNames({"layer", "m", "product"})
+    ->ArgsProduct({{0, 1, 2, 3}, {1, 14, 92, 250}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // CEWS_BENCH_KERNELS=1 kernel sweep: times packed vs reference kernels on

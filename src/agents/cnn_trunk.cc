@@ -1,5 +1,7 @@
 #include "agents/cnn_trunk.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "nn/ops.h"
 
@@ -51,8 +53,7 @@ nn::Tensor CnnTrunk::Forward(const nn::Tensor& x, nn::RowMapPtr rows) const {
   h = conv3_->Forward(h, rows);
   h = nn::Checkpoint(ln3_->Forward(h, rows));
   h = nn::Reshape(h, {n, flat_after_conv_});
-  if (rows != nullptr) h = nn::ExpandRows(h, rows);
-  return nn::Relu(fc_->Forward(h));
+  return nn::Relu(fc_->Forward(h, std::move(rows)));
 }
 
 std::vector<nn::Tensor> CnnTrunk::Parameters() const {

@@ -30,9 +30,8 @@ class CnnTrunk : public nn::Module {
   CnnTrunk(const CnnTrunkConfig& config, cews::Rng& rng);
 
   /// x: [N, in_channels, grid, grid] -> [N, feature_dim]. With `rows`, x
-  /// holds the distinct states of a batch that repeats some: the convs and
-  /// LayerNorms run on them, and the FC on the rows->logical() logical rows
-  /// (nn/ops.h "RowMap").
+  /// holds the distinct states of a batch that repeats some: every layer
+  /// runs on them, and so does the result hold them (nn/ops.h "RowMap").
   nn::Tensor Forward(const nn::Tensor& x, nn::RowMapPtr rows = nullptr) const;
 
   std::vector<nn::Tensor> Parameters() const override;

@@ -54,17 +54,22 @@ PolicyNet::PolicyNet(const PolicyNetConfig& config, cews::Rng& rng)
 
 PolicyOutput PolicyNet::ForwardImpl(const nn::Tensor& x,
                                     nn::RowMapPtr rows) const {
-  nn::Tensor feature = trunk_->Forward(x, std::move(rows));
-  const nn::Index n = feature.dim(0);
+  // Under a row map the trunk and heads run once per distinct state, and
+  // the head outputs expand to the logical rows the loss reads.
+  nn::Tensor feature = trunk_->Forward(x, rows);
+  const nn::Index n = rows != nullptr ? rows->logical() : feature.dim(0);
+  const auto head = [&](const nn::Linear& linear) {
+    nn::Tensor y = linear.Forward(feature, rows);
+    return rows != nullptr ? nn::ExpandRows(y, rows) : y;
+  };
 
   PolicyOutput out;
   out.feature = feature;
-  out.move_logits =
-      nn::Reshape(move_head_->Forward(feature),
-                  {n, config_.num_workers, config_.num_moves});
+  out.move_logits = nn::Reshape(head(*move_head_),
+                                {n, config_.num_workers, config_.num_moves});
   out.charge_logits =
-      nn::Reshape(charge_head_->Forward(feature), {n, config_.num_workers, 2});
-  out.value = nn::Reshape(value_head_->Forward(feature), {n});
+      nn::Reshape(head(*charge_head_), {n, config_.num_workers, 2});
+  out.value = nn::Reshape(head(*value_head_), {n});
   return out;
 }
 

@@ -51,7 +51,8 @@ struct PolicyOutput {
   nn::Tensor charge_logits;
   /// State value V(phi(s_t)), [N].
   nn::Tensor value;
-  /// The shared 1-D feature phi(s_t), [N, feature_dim].
+  /// The shared 1-D feature phi(s_t), [N, feature_dim]; under a row map,
+  /// one row per distinct state (Forward).
   nn::Tensor feature;
 };
 
@@ -70,9 +71,11 @@ class PolicyNet : public nn::Module {
   /// overwrites them, so read the outputs before forwarding again (every
   /// current caller samples/copies immediately).
   ///
-  /// With `rows`, x holds the distinct states of a batch that repeats some
-  /// and the outputs have rows->logical() rows (CnnTrunk::Forward); such a
-  /// forward always runs on the tape.
+  /// With `rows`, x holds the distinct states of a batch that repeats some:
+  /// the trunk and heads run on them, the logits and value have
+  /// rows->logical() rows (nn::ExpandRows at the head outputs) and
+  /// `feature` keeps the distinct rows. Such a forward always runs on the
+  /// tape.
   PolicyOutput Forward(const nn::Tensor& x,
                        nn::RowMapPtr rows = nullptr) const;
 

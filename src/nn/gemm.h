@@ -36,7 +36,27 @@
 // into column tiles of width kNr. For the tile covering output columns
 // [c0, c0+w), w = min(kNr, n-c0), the tile starts at offset k*c0 and stores
 // element (l, c0+t) at tile[l*w + t]. A full pack is therefore exactly k*n
-// floats, and the kernels' inner loops read it with unit stride.
+// floats, and the kernels' inner loops read it with unit stride. PackNT
+// moves Yᵀ into it by 8x8 in-register transposes (nn/transpose.h).
+//
+// Register blocking: the shape alone picks the path, and every path keeps
+// at least 8 independent fma chains in flight where the shape has them.
+//  * Full tiles (w = kNr): kMr x kNr blocks of rows.
+//  * Rows of full tiles left over after the kMr blocks: one row at a time
+//    against up to four tiles (128 columns, 8 vectors) in registers.
+//  * Ragged tiles (w < kNr: the heads' 34-, 4- and 1-wide outputs, the
+//    16-column tail of a 400-column NT): lanes hold rows instead of
+//    columns. Each output column keeps up to 16 rows in the lanes of one
+//    vector, the last row block masked, and ceil(8 / columns) row blocks
+//    run at once (columns taken 16 at a time). A's 16 rows at a step are
+//    one load when A is read transposed (rsa = 1), else a transposed copy.
+//  * NN calls with fewer than kMr rows (batch-1 acting) read B in place
+//    instead of packing it: one row against up to 128 columns, the last
+//    vector masked.
+// These register blocks are AVX-512 builds' paths; other builds run every
+// leftover row and ragged tile through the one-row loop the packed kernels
+// always had. Each element keeps the fmaf chain of the reference kernels,
+// so all paths give the same bytes.
 #ifndef CEWS_NN_GEMM_H_
 #define CEWS_NN_GEMM_H_
 
@@ -53,7 +73,8 @@ namespace cews::nn::gemm {
 inline constexpr Index kNr = 32;
 
 /// Register-tile height in output rows. kMr * kNr/16 = 8 independent FMA
-/// chains per loop step — enough to hide FMA latency on current x86.
+/// chains per loop step — enough to hide FMA latency on current x86. An NN
+/// call with fewer rows reads B in place (file comment).
 inline constexpr Index kMr = 4;
 
 /// Reduction-dimension block for the NN kernel: a kKc x kNr panel slab is
@@ -89,10 +110,16 @@ void ParallelKernel(Index n, Index flops_per_index, Fn&& fn) {
 /// fully overwritten — callers with planner-assigned arenas pass it to skip
 /// the workspace), otherwise into the per-thread workspace; then runs
 /// NNRows over the pool (rows partitioned; results independent of thread
-/// count).
+/// count). With fewer than kMr rows and no `lrows`, B is read in place and
+/// `pack_scratch` is not touched.
+///
+/// `lrows` (k entries) replays a row map (nn/ops.h "RowMap") along the
+/// reduction: step l reads A at a[i*rsa + lrows[l]*csa] and B row
+/// lrows[l], so dB = Aᵀ·dC over a batch's logical rows reads operands
+/// that hold only its distinct rows, with each element's chain unchanged.
 void GemmNN(Index m, Index n, Index k, const float* a, Index rsa, Index csa,
             const float* b, Index ldb, float* c, Index ldc,
-            float* pack_scratch = nullptr);
+            float* pack_scratch = nullptr, const Index* lrows = nullptr);
 
 /// Convenience wrapper: C (m x n, ldc) += X (m x k, ldx) · Y (n x k, ldy)ᵀ.
 /// `pack_scratch` as in GemmNN (k*n floats).

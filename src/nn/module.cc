@@ -30,8 +30,8 @@ Linear::Linear(Index in_features, Index out_features, cews::Rng& rng,
   bias_ = Tensor::Zeros({out_features}, /*requires_grad=*/true);
 }
 
-Tensor Linear::Forward(const Tensor& x) const {
-  return AddBias(MatMul(x, weight_), bias_);
+Tensor Linear::Forward(const Tensor& x, RowMapPtr rows) const {
+  return AddBias(MatMul(x, weight_, rows), bias_, rows);
 }
 
 std::vector<Tensor> Linear::Parameters() const { return {weight_, bias_}; }

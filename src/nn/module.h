@@ -36,7 +36,9 @@ class Linear : public Module {
   Linear(Index in_features, Index out_features, cews::Rng& rng,
          float gain = 1.0f);
 
-  Tensor Forward(const Tensor& x) const;
+  /// With `rows`, x holds the distinct rows of a batch that repeats some
+  /// (nn/ops.h "RowMap"), and so does the result.
+  Tensor Forward(const Tensor& x, RowMapPtr rows = nullptr) const;
   std::vector<Tensor> Parameters() const override;
 
   Index in_features() const { return weight_.dim(0); }

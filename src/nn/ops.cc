@@ -268,11 +268,26 @@ Tensor MulScalar(const Tensor& a, float s) {
 
 Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
-Tensor AddBias(const Tensor& x, const Tensor& b) {
+namespace {
+
+/// CHECKs that a row map fits a batch of `n` distinct rows and that no
+/// graph is recording (row maps are tape-only).
+void CheckRowMap(const RowMapPtr& rows, Index n, const char* op) {
+  if (rows == nullptr) return;
+  CEWS_CHECK(!graph::Recording())
+      << op << ": row maps do not run under a graph recording";
+  CEWS_CHECK_EQ(n, rows->distinct())
+      << op << ": the batch must hold the map's distinct rows";
+}
+
+}  // namespace
+
+Tensor AddBias(const Tensor& x, const Tensor& b, RowMapPtr rows) {
   CEWS_CHECK_EQ(x.ndim(), 2);
   CEWS_CHECK_EQ(b.ndim(), 1);
   const Index n = x.dim(0), d = x.dim(1);
   CEWS_CHECK_EQ(b.dim(0), d);
+  CheckRowMap(rows, n, "AddBias");
   Tensor r = NewResult(x.shape(), {x, b});
   auto fwd = [o = r.impl().get(), xi = x.impl().get(), bi = b.impl().get(), n,
               d]() {
@@ -289,16 +304,21 @@ Tensor AddBias(const Tensor& x, const Tensor& b) {
     auto o = r.impl().get();
     auto ix = x.impl();
     auto ib = b.impl();
-    r.impl()->backward_fn = [o, ix, ib, n, d]() {
+    r.impl()->backward_fn = [o, ix, ib, n, d, rows]() {
       if (ix->requires_grad) {
         ix->EnsureGrad();
         for (size_t i = 0; i < o->data.size(); ++i)
           ix->grad[i] += o->grad[i];
       }
       if (ib->requires_grad) {
+        // db adds the rows in logical order, each read from its distinct
+        // row under a map.
         ib->EnsureGrad();
-        for (Index i = 0; i < n; ++i) {
-          for (Index j = 0; j < d; ++j) ib->grad[j] += o->grad[i * d + j];
+        const Index logical = rows != nullptr ? rows->logical() : n;
+        for (Index i = 0; i < logical; ++i) {
+          const Index u =
+              rows != nullptr ? rows->rows()[static_cast<size_t>(i)] : i;
+          for (Index j = 0; j < d; ++j) ib->grad[j] += o->grad[u * d + j];
         }
       }
     };
@@ -306,11 +326,14 @@ Tensor AddBias(const Tensor& x, const Tensor& b) {
   return r;
 }
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
+Tensor MatMul(const Tensor& a, const Tensor& b, RowMapPtr rows) {
   CEWS_CHECK_EQ(a.ndim(), 2);
   CEWS_CHECK_EQ(b.ndim(), 2);
   const Index n = a.dim(0), k = a.dim(1), m = b.dim(1);
   CEWS_CHECK_EQ(b.dim(0), k);
+  CheckRowMap(rows, n, "MatMul");
+  // dB reduces over the logical rows; the other products run per row held.
+  const Index logical = rows != nullptr ? rows->logical() : n;
   const bool rec = graph::Recording();
   Tensor r = NewResult({n, m}, {a, b});
   const bool track = Tracking(r);
@@ -349,13 +372,16 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     auto o = r.impl().get();
     auto ia = a.impl();
     auto ib = b.impl();
-    r.impl()->backward_fn = [o, ia, ib, n, k, m, pack_da, pack_db]() {
+    r.impl()->backward_fn = [o, ia, ib, n, k, m, logical, rows, pack_da,
+                             pack_db]() {
       CEWS_TRACE_SCOPE("nn.MatMul.bwd");
       const uint64_t t0 = Stopwatch::NowNs();
       uint64_t bwd_flops = 0;
-      // dA = dC * B^T (NT shape: one fresh dot per element) and
-      // dB = A^T * dC (NN shape: rows of dB accumulate n-ascending, matching
-      // the transposed read of A). Both partitioned over output rows.
+      // dA = dC * B^T (NT shape: one fresh dot per element), once per row
+      // held, and dB = A^T * dC (NN shape: rows of dB accumulate over the
+      // logical rows in order, matching the transposed read of A; under a
+      // map step l reads distinct row rows[l]). Both partitioned over
+      // output rows.
       if (ia->requires_grad) {
         bwd_flops += 2ull * static_cast<uint64_t>(n * k * m);
         ia->EnsureGrad();
@@ -366,13 +392,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                      pack_da ? pack_da->data() : nullptr);
       }
       if (ib->requires_grad) {
-        bwd_flops += 2ull * static_cast<uint64_t>(n * k * m);
+        bwd_flops += 2ull * static_cast<uint64_t>(logical * k * m);
         ib->EnsureGrad();
         const float* og = o->grad.data();
         const float* pa = ia->data.data();
         float* gb = ib->grad.data();
-        gemm::GemmNN(k, m, n, pa, 1, k, og, m, gb, m,
-                     pack_db ? pack_db->data() : nullptr);
+        gemm::GemmNN(k, m, logical, pa, 1, k, og, m, gb, m,
+                     pack_db ? pack_db->data() : nullptr,
+                     rows != nullptr ? rows->rows().data() : nullptr);
       }
       KernelMetrics& metrics = MatMulMetrics();
       metrics.bwd_flops->Add(bwd_flops);
@@ -808,20 +835,6 @@ std::shared_ptr<const RowMap> RowMap::Number(const std::vector<Index>& keys) {
   }
   return map;
 }
-
-namespace {
-
-/// CHECKs that a row map fits a batch of `n` distinct rows and that no
-/// graph is recording (row maps are tape-only).
-void CheckRowMap(const RowMapPtr& rows, Index n, const char* op) {
-  if (rows == nullptr) return;
-  CEWS_CHECK(!graph::Recording())
-      << op << ": row maps do not run under a graph recording";
-  CEWS_CHECK_EQ(n, rows->distinct())
-      << op << ": the batch must hold the map's distinct rows";
-}
-
-}  // namespace
 
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
               int stride, int padding, RowMapPtr rows) {

@@ -27,11 +27,18 @@ Tensor MulScalar(const Tensor& a, float s);
 /// Elementwise negation.
 Tensor Neg(const Tensor& a);
 
-/// Adds bias vector b of shape [D] to every row of x of shape [N, D].
-Tensor AddBias(const Tensor& x, const Tensor& b);
+class RowMap;
 
-/// Matrix product of a [N, K] and b [K, M] -> [N, M].
-Tensor MatMul(const Tensor& a, const Tensor& b);
+/// Adds bias vector b of shape [D] to every row of x of shape [N, D]. With
+/// `rows`, x holds the distinct rows of rows->logical() logical ones
+/// (RowMap below).
+Tensor AddBias(const Tensor& x, const Tensor& b,
+               std::shared_ptr<const RowMap> rows = nullptr);
+
+/// Matrix product of a [N, K] and b [K, M] -> [N, M]. With `rows`, a holds
+/// the distinct rows of rows->logical() logical ones (RowMap below).
+Tensor MatMul(const Tensor& a, const Tensor& b,
+              std::shared_ptr<const RowMap> rows = nullptr);
 
 /// Elementwise max(x, 0).
 Tensor Relu(const Tensor& x);
@@ -89,9 +96,9 @@ Tensor Checkpoint(const Tensor& t);
 /// Row maps: a batch that repeats rows, run once per distinct row.
 ///
 /// A PPO minibatch drawn with replacement holds a transition as often as it
-/// was drawn. A RowMap lets Conv2d and LayerNormReluOp run on the distinct
-/// rows only while every parameter gradient keeps the bytes the expanded
-/// batch gives it:
+/// was drawn. A RowMap lets Conv2d, LayerNormReluOp, MatMul and AddBias run
+/// on the distinct rows only while every parameter gradient keeps the bytes
+/// the expanded batch gives it:
 ///  * Logical row i of the batch reads distinct row rows()[i]. Distinct rows
 ///    are numbered by first occurrence, so first()[u] >= u. A tensor paired
 ///    with a map holds only the distinct rows in dim 0.
@@ -100,8 +107,12 @@ Tensor Checkpoint(const Tensor& t);
 ///  * Conv dW: one fresh per-image dot per distinct image, added to dW once
 ///    per logical image in logical order (the sequence nn/conv.h promises).
 ///    Conv db replays the per-image pixel sums the same way.
-///  * Conv dX and LayerNorm dx: computed once per distinct row from that
-///    row's output gradient.
+///  * MatMul dB: the fmaf chain of each element runs over the logical rows
+///    in order, step i reading distinct row rows()[i] of A and of dC
+///    (gemm::GemmNN's `lrows`). AddBias db: the acc + dy chain, the same
+///    way.
+///  * Conv dX, LayerNorm dx, MatMul dA and AddBias dx: computed once per
+///    distinct row from that row's output gradient.
 ///  * LayerNorm dgamma and dbeta: the fmaf(g, xh, acc) and acc + g chains
 ///    run over the logical rows in order, each reading g and xh from its
 ///    distinct row. A chain of fmas cannot be scaled by a count, so it
@@ -109,9 +120,9 @@ Tensor Checkpoint(const Tensor& t);
 ///  * ExpandRows restores the logical rows. Its backward gives distinct row
 ///    u the gradient of its first logical row and CHECKs that every later
 ///    logical row of u carries the same bytes. That holds when everything
-///    after it is row-wise, as the policy's FC, heads and PPO loss are; the
-///    equality is what makes the replay exact, and the CHECK stops a
-///    cross-row loss from silently getting a wrong gradient.
+///    after it is row-wise, as the PPO loss on the policy's head outputs
+///    is; the equality is what makes the replay exact, and the CHECK stops
+///    a cross-row loss from silently getting a wrong gradient.
 /// Row maps are tape-only: under a graph recording (nn/graph.h) the ops
 /// CHECK that none is passed. A map without repeats (the identity) runs the
 /// same code; callers pass none when nothing repeats.

@@ -42,6 +42,12 @@ class Sgd : public Optimizer {
 };
 
 /// Adam (Kingma & Ba), the paper's chief-side optimizer (Section VI).
+/// Per element, in this order:
+///   m = fmaf(beta1, m, (1 - beta1) * g)
+///   v = fmaf(beta2, v, (1 - beta2) * g * g)
+///   p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+/// with bc1 = 1 - beta1^t and bc2 = 1 - beta2^t; every build gives these
+/// bytes (the vector lanes run the same sequence).
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,

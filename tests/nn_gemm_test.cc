@@ -2,14 +2,18 @@
 //
 // The packed kernels (nn/gemm.h) promise bitwise identity with the retained
 // pre-packing reference kernels at any thread count, including ragged
-// shapes, degenerate dimensions and transposed A-reads — that contract is
-// what lets ops.cc route every MatMul product through them without
-// perturbing the determinism guarantees. The workspace promises that
-// steady-state kernel calls never touch the allocator; the reuse counters
-// are the proof (the workspace itself is tested in nn_workspace_test.cc).
+// shapes, degenerate dimensions, transposed A-reads, the register blocks of
+// leftover rows, ragged tiles and few-row calls, and row-mapped reductions
+// — that contract is what lets ops.cc route every MatMul product through
+// them without perturbing the determinism guarantees. The workspace
+// promises that steady-state kernel calls never touch the allocator; the
+// reuse counters are the proof (the workspace itself is tested in
+// nn_workspace_test.cc).
 #include "nn/gemm.h"
 
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,70 +65,142 @@ std::string CaseName(const GemmCase& c, int threads) {
 // columns, exact register-tile multiples (kNr=32, kMr=4), off-by-one around
 // them, reductions shorter and longer than kKc=128, empty dimensions, and
 // the trainer/serve shapes that dominate production calls.
-const GemmCase kCases[] = {
+const GemmCase kEdgeCases[] = {
     {1, 1, 1},    {1, 32, 1},    {1, 1, 129},  {4, 32, 128}, {3, 5, 7},
     {4, 31, 16},  {5, 33, 129},  {7, 64, 130}, {33, 100, 64}, {64, 48, 96},
     {2, 1, 257},  {31, 32, 33},  {1, 257, 4},  {8, 96, 41},  {40, 36, 100},
     {0, 5, 4},    {4, 0, 5},     {2, 3, 0},
 };
 
-TEST(GemmPackedTest, NNBitwiseMatchesReferenceAcrossShapesAndThreads) {
-  for (const int threads : {0, 1, 4}) {
-    runtime::SetGlobalPoolThreads(threads);
-    for (const GemmCase& c : kCases) {
-      const auto a =
-          RandomData(static_cast<size_t>(c.m * c.k), 11, /*zeros=*/0.25);
-      const auto b = RandomData(static_cast<size_t>(c.k * c.n), 13);
-      auto want = RandomData(static_cast<size_t>(c.m * c.n), 17);
-      auto got = want;
-      gemm::reference::GemmNN(c.m, c.n, c.k, a.data(), c.k, 1, b.data(), c.n,
-                              want.data(), c.n);
-      gemm::GemmNN(c.m, c.n, c.k, a.data(), c.k, 1, b.data(), c.n,
-                   got.data(), c.n);
-      ExpectBitwiseEqual(want, got, "NN " + CaseName(c, threads));
+/// kEdgeCases plus the policy net's products and every block edge of the
+/// register paths: rows below kMr (B read in place), around the 16-row lane
+/// blocks and the kMr blocks, the ~92 distinct and 250 logical rows of a
+/// paper minibatch; columns of the value, charge and move heads, a 16-wide
+/// ragged tile and the FC's 256 and 400; the FC's and heads' reductions.
+std::vector<GemmCase> Cases() {
+  std::vector<GemmCase> cases(std::begin(kEdgeCases), std::end(kEdgeCases));
+  for (const Index k : {256, 400}) {
+    for (const Index m : {1, 2, 3, 5, 13, 14, 15, 16, 17, 33, 92, 250}) {
+      for (const Index n : {1, 2, 4, 16, 34, 256, 400}) {
+        cases.push_back({m, n, k});
+      }
     }
   }
+  return cases;
+}
+
+/// Runs `packed` against `want` (the reference result for one case) at
+/// pool sizes 0, 1 and 4.
+template <typename Fn>
+void ExpectAtEveryPoolSize(const std::vector<float>& c0,
+                           const std::vector<float>& want, Fn&& packed,
+                           const std::string& what, const GemmCase& c) {
+  for (const int threads : {0, 1, 4}) {
+    runtime::SetGlobalPoolThreads(threads);
+    auto got = c0;
+    packed(got.data());
+    ExpectBitwiseEqual(want, got, what + " " + CaseName(c, threads));
+  }
   runtime::SetGlobalPoolThreads(1);
+}
+
+TEST(GemmPackedTest, NNBitwiseMatchesReferenceAcrossShapesAndThreads) {
+  for (const GemmCase& c : Cases()) {
+    const auto a =
+        RandomData(static_cast<size_t>(c.m * c.k), 11, /*zeros=*/0.25);
+    const auto b = RandomData(static_cast<size_t>(c.k * c.n), 13);
+    const auto c0 = RandomData(static_cast<size_t>(c.m * c.n), 17);
+    auto want = c0;
+    gemm::reference::GemmNN(c.m, c.n, c.k, a.data(), c.k, 1, b.data(), c.n,
+                            want.data(), c.n);
+    ExpectAtEveryPoolSize(
+        c0, want,
+        [&](float* got) {
+          gemm::GemmNN(c.m, c.n, c.k, a.data(), c.k, 1, b.data(), c.n, got,
+                       c.n);
+        },
+        "NN", c);
+  }
 }
 
 TEST(GemmPackedTest, NNTransposedAReadMatchesReference) {
   // The dB product reads A transposed (rsa=1, csa=lda); same contract.
-  for (const int threads : {1, 4}) {
-    runtime::SetGlobalPoolThreads(threads);
-    for (const GemmCase& c : kCases) {
-      // A stored k-major: element (i, l) at a[l * m + i].
-      const auto a =
-          RandomData(static_cast<size_t>(c.m * c.k), 29, /*zeros=*/0.25);
-      const auto b = RandomData(static_cast<size_t>(c.k * c.n), 31);
-      auto want = RandomData(static_cast<size_t>(c.m * c.n), 37);
-      auto got = want;
-      gemm::reference::GemmNN(c.m, c.n, c.k, a.data(), 1, c.m, b.data(), c.n,
-                              want.data(), c.n);
-      gemm::GemmNN(c.m, c.n, c.k, a.data(), 1, c.m, b.data(), c.n,
-                   got.data(), c.n);
-      ExpectBitwiseEqual(want, got, "NN^T " + CaseName(c, threads));
-    }
+  for (const GemmCase& c : Cases()) {
+    // A stored k-major: element (i, l) at a[l * m + i].
+    const auto a =
+        RandomData(static_cast<size_t>(c.m * c.k), 29, /*zeros=*/0.25);
+    const auto b = RandomData(static_cast<size_t>(c.k * c.n), 31);
+    const auto c0 = RandomData(static_cast<size_t>(c.m * c.n), 37);
+    auto want = c0;
+    gemm::reference::GemmNN(c.m, c.n, c.k, a.data(), 1, c.m, b.data(), c.n,
+                            want.data(), c.n);
+    ExpectAtEveryPoolSize(
+        c0, want,
+        [&](float* got) {
+          gemm::GemmNN(c.m, c.n, c.k, a.data(), 1, c.m, b.data(), c.n, got,
+                       c.n);
+        },
+        "NN^T", c);
   }
-  runtime::SetGlobalPoolThreads(1);
 }
 
 TEST(GemmPackedTest, NTBitwiseMatchesReferenceAcrossShapesAndThreads) {
-  for (const int threads : {0, 1, 4}) {
-    runtime::SetGlobalPoolThreads(threads);
-    for (const GemmCase& c : kCases) {
-      const auto x =
-          RandomData(static_cast<size_t>(c.m * c.k), 41, /*zeros=*/0.25);
-      const auto y = RandomData(static_cast<size_t>(c.n * c.k), 43);
-      auto want = RandomData(static_cast<size_t>(c.m * c.n), 47);
-      auto got = want;
-      gemm::reference::GemmNT(c.m, c.n, c.k, x.data(), c.k, y.data(), c.k,
-                              want.data(), c.n);
-      gemm::GemmNT(c.m, c.n, c.k, x.data(), c.k, y.data(), c.k, got.data(),
-                   c.n);
-      ExpectBitwiseEqual(want, got, "NT " + CaseName(c, threads));
+  for (const GemmCase& c : Cases()) {
+    const auto x =
+        RandomData(static_cast<size_t>(c.m * c.k), 41, /*zeros=*/0.25);
+    const auto y = RandomData(static_cast<size_t>(c.n * c.k), 43);
+    const auto c0 = RandomData(static_cast<size_t>(c.m * c.n), 47);
+    auto want = c0;
+    gemm::reference::GemmNT(c.m, c.n, c.k, x.data(), c.k, y.data(), c.k,
+                            want.data(), c.n);
+    ExpectAtEveryPoolSize(
+        c0, want,
+        [&](float* got) {
+          gemm::GemmNT(c.m, c.n, c.k, x.data(), c.k, y.data(), c.k, got,
+                       c.n);
+        },
+        "NT", c);
+  }
+}
+
+TEST(GemmPackedTest, NNRowMapMatchesTheExpandedOperands) {
+  // dB over a minibatch's logical rows with operands holding only the
+  // distinct rows: step l reads row lrows[l] of A (transposed) and of B.
+  Rng rng(53);
+  for (const Index logical : {1, 7, 250}) {
+    for (const Index distinct : {1, 3, 92}) {
+      std::vector<Index> lrows;
+      for (Index l = 0; l < logical; ++l) {
+        lrows.push_back(l < distinct ? l % distinct
+                                     : static_cast<Index>(rng.UniformInt(
+                                           static_cast<uint64_t>(distinct))));
+      }
+      for (const Index m : {1, 3, 5, 17, 256, 400}) {
+        for (const Index n : {1, 2, 4, 34, 256}) {
+          const GemmCase c{m, n, logical};
+          const auto a = RandomData(static_cast<size_t>(distinct * m), 59,
+                                    /*zeros=*/0.25);
+          const auto b = RandomData(static_cast<size_t>(distinct * n), 61);
+          std::vector<float> ae, be;
+          for (const Index u : lrows) {
+            ae.insert(ae.end(), a.begin() + u * m, a.begin() + (u + 1) * m);
+            be.insert(be.end(), b.begin() + u * n, b.begin() + (u + 1) * n);
+          }
+          const auto c0 = RandomData(static_cast<size_t>(m * n), 67);
+          auto want = c0;
+          gemm::reference::GemmNN(m, n, logical, ae.data(), 1, m, be.data(),
+                                  n, want.data(), n);
+          ExpectAtEveryPoolSize(
+              c0, want,
+              [&](float* got) {
+                gemm::GemmNN(m, n, logical, a.data(), 1, m, b.data(), n, got,
+                             n, nullptr, lrows.data());
+              },
+              "NN^T mapped from " + std::to_string(distinct), c);
+        }
+      }
     }
   }
-  runtime::SetGlobalPoolThreads(1);
 }
 
 /// One synthetic "training step" over both hot kernels: MatMul and Conv2d

@@ -1,5 +1,9 @@
 #include "nn/optimizer.h"
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -72,6 +76,56 @@ TEST(AdamTest, SkipsParamsWithNoGrad) {
   Adam adam({x}, 0.1f);
   adam.Step();  // no backward ran; x must be untouched
   EXPECT_FLOAT_EQ(x.data()[0], 1.0f);
+}
+
+TEST(AdamTest, StepsGiveTheBytesOfTheWrittenOutLoop) {
+  // Odd sizes put elements in the vector lanes and in the scalar tail; the
+  // fmas are written out as Adam documents them. Five steps with fresh
+  // gradients, lr and betas off their defaults, exact zero gradients.
+  Rng rng(23);
+  const float lr = 3e-3f, beta1 = 0.85f, beta2 = 0.995f, eps = 1e-7f;
+  std::vector<Tensor> params;
+  for (const Index size : {1, 7, 15, 16, 17, 33, 250, 1027}) {
+    std::vector<float> data(static_cast<size_t>(size));
+    for (float& x : data) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    params.push_back(Tensor::FromData({size}, std::move(data), true));
+  }
+  std::vector<std::vector<float>> want_p, want_m, want_v;
+  for (const Tensor& t : params) {
+    want_p.push_back(t.ToVector());
+    want_m.emplace_back(static_cast<size_t>(t.numel()), 0.0f);
+    want_v.emplace_back(static_cast<size_t>(t.numel()), 0.0f);
+  }
+  Adam adam(params, lr, beta1, beta2, eps);
+  for (int step = 1; step <= 5; ++step) {
+    adam.ZeroGrad();
+    for (Tensor t : params) {
+      for (Index i = 0; i < t.numel(); ++i) {
+        t.grad()[i] = i % 5 == 2 ? 0.0f
+                                 : static_cast<float>(rng.Uniform(-2.0, 2.0));
+      }
+    }
+    adam.Step();
+    const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(step));
+    const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(step));
+    for (size_t pi = 0; pi < params.size(); ++pi) {
+      const float* g = params[pi].grad();
+      std::vector<float>& p = want_p[pi];
+      std::vector<float>& m = want_m[pi];
+      std::vector<float>& v = want_v[pi];
+      for (size_t i = 0; i < p.size(); ++i) {
+        m[i] = std::fmaf(beta1, m[i], (1.0f - beta1) * g[i]);
+        v[i] = std::fmaf(beta2, v[i], (1.0f - beta2) * g[i] * g[i]);
+        const float mhat = m[i] / bc1;
+        const float vhat = v[i] / bc2;
+        p[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+      ASSERT_EQ(std::memcmp(p.data(), params[pi].data(),
+                            p.size() * sizeof(float)),
+                0)
+          << "step " << step << " size " << p.size();
+    }
+  }
 }
 
 TEST(OptimizerTest, TrainsMlpOnXor) {

@@ -1,16 +1,18 @@
 // Bitwise spec of row maps (nn/ops.h "RowMap").
 //
-// Conv2d and LayerNormReluOp given a batch's distinct rows and a row map
-// must give the bytes the expanded batch gives: every forward row, the
-// parameter gradients (conv dW and db, LayerNorm dgamma and dbeta, which
-// replay the logical rows in order), and each distinct row's input gradient
-// equal to its first logical row's. The expanded batch runs the unmapped
-// op, whose bytes nn_conv_test and nn_layer_norm_test pin to plain
+// Conv2d, LayerNormReluOp, MatMul, AddBias and Linear given a batch's
+// distinct rows and a row map must give the bytes the expanded batch gives:
+// every forward row, the parameter gradients (conv dW and db, LayerNorm
+// dgamma and dbeta, MatMul dW and AddBias db, which replay the logical rows
+// in order), and each distinct row's input gradient equal to its first
+// logical row's. The expanded batch runs the unmapped op, whose bytes
+// nn_conv_test, nn_layer_norm_test and nn_gemm_test pin to plain
 // references. Maps cover no repeats, one row read by every logical row,
 // draws with replacement from 100 and from 3 rows, and a batch of 1; conv
 // shapes cover the paper net's three convs and odd channel counts and
-// strides, at pool sizes 1 and 4. Every gradient starts from a nonzero
-// value the op must add onto.
+// strides, linear shapes its FC and three heads and odd widths, at pool
+// sizes 1 and 4. Every gradient starts from a nonzero value the op must add
+// onto.
 //
 // ExpandRows is checked on its own: the forward gather, the backward that
 // hands each distinct row its first logical row's gradient, and the CHECK
@@ -26,6 +28,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nn/graph.h"
+#include "nn/module.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 
@@ -274,6 +277,135 @@ TEST_P(RowMapTest, LayerNormReluWithoutInputGradientKeepsParameterBytes) {
   ExpectSameBytes(Copy(be.grad(), f), Copy(bd.grad(), f), "dbeta");
 }
 
+/// In/out widths of the products MatMul and AddBias take a map through:
+/// the paper net's FC and three heads, then small odd ones.
+struct LinearShape {
+  Index in, out;
+};
+const LinearShape kLinearShapes[] = {{400, 256}, {256, 34}, {256, 4},
+                                     {256, 1},   {5, 3},    {17, 33}};
+
+TEST_P(RowMapTest, MatMulMatchesTheExpandedBatch) {
+  uint64_t seed = 400;
+  for (const MapCase& m : Maps()) {
+    const RowMapPtr map = RowMap::Number(m.keys);
+    const Index nd = map->distinct(), nl = map->logical();
+    for (const LinearShape& s : kLinearShapes) {
+      const std::string what = m.name + " " + std::to_string(s.in) + "x" +
+                               std::to_string(s.out);
+      Rng rng(seed += 10);
+      const std::vector<float> x = Data(nd * s.in, rng, true);
+      const std::vector<float> dx0 = Data(nd * s.in, rng, false);
+      const std::vector<float> w = Data(s.in * s.out, rng, true);
+      const std::vector<float> dw0 = Data(s.in * s.out, rng, false);
+      const std::vector<float> g =
+          Expand(Data(nd * s.out, rng, true), *map, s.out);
+
+      Tensor xe = Leaf({nl, s.in}, Expand(x, *map, s.in),
+                       Expand(dx0, *map, s.in));
+      Tensor we = Leaf({s.in, s.out}, w, dw0);
+      Tensor ye = MatMul(xe, we);
+      Sum(Mul(ye, Tensor::FromData(ye.shape(), g))).Backward();
+
+      Tensor xd = Leaf({nd, s.in}, x, dx0);
+      Tensor wd = Leaf({s.in, s.out}, w, dw0);
+      Tensor yd = MatMul(xd, wd, map);
+      ASSERT_EQ(yd.dim(0), nd) << what;
+      Tensor expanded = ExpandRows(yd, map);
+      Sum(Mul(expanded, Tensor::FromData(expanded.shape(), g))).Backward();
+
+      ExpectSameBytes(Copy(ye.data(), ye.numel()),
+                      Copy(expanded.data(), expanded.numel()), what + " y");
+      ExpectSameBytes(Copy(we.grad(), we.numel()),
+                      Copy(wd.grad(), wd.numel()), what + " dW");
+      ExpectFirstRows(Copy(xe.grad(), xe.numel()),
+                      Copy(xd.grad(), xd.numel()), *map, s.in, what + " dX");
+    }
+  }
+}
+
+TEST_P(RowMapTest, AddBiasMatchesTheExpandedBatch) {
+  uint64_t seed = 500;
+  for (const MapCase& m : Maps()) {
+    const RowMapPtr map = RowMap::Number(m.keys);
+    const Index nd = map->distinct(), nl = map->logical();
+    for (const Index d : {256, 34, 4, 1, 33}) {
+      const std::string what = m.name + " d" + std::to_string(d);
+      Rng rng(seed += 10);
+      const std::vector<float> x = Data(nd * d, rng, true);
+      const std::vector<float> dx0 = Data(nd * d, rng, false);
+      const std::vector<float> b = Data(d, rng, true);
+      const std::vector<float> db0 = Data(d, rng, false);
+      const std::vector<float> g = Expand(Data(nd * d, rng, true), *map, d);
+
+      Tensor xe = Leaf({nl, d}, Expand(x, *map, d), Expand(dx0, *map, d));
+      Tensor be = Leaf({d}, b, db0);
+      Tensor ye = AddBias(xe, be);
+      Sum(Mul(ye, Tensor::FromData(ye.shape(), g))).Backward();
+
+      Tensor xd = Leaf({nd, d}, x, dx0);
+      Tensor bd = Leaf({d}, b, db0);
+      Tensor expanded = ExpandRows(AddBias(xd, bd, map), map);
+      Sum(Mul(expanded, Tensor::FromData(expanded.shape(), g))).Backward();
+
+      ExpectSameBytes(Copy(ye.data(), ye.numel()),
+                      Copy(expanded.data(), expanded.numel()), what + " y");
+      ExpectSameBytes(Copy(be.grad(), d), Copy(bd.grad(), d), what + " db");
+      ExpectFirstRows(Copy(xe.grad(), xe.numel()),
+                      Copy(xd.grad(), xd.numel()), *map, d, what + " dx");
+    }
+  }
+}
+
+TEST_P(RowMapTest, LinearMatchesTheExpandedBatch) {
+  // Two layers from one seed hold the same weights; both parameter
+  // gradients start from the same nonzero bytes.
+  uint64_t seed = 600;
+  for (const MapCase& m : Maps()) {
+    const RowMapPtr map = RowMap::Number(m.keys);
+    const Index nd = map->distinct(), nl = map->logical();
+    for (const LinearShape& s : kLinearShapes) {
+      const std::string what = m.name + " " + std::to_string(s.in) + "x" +
+                               std::to_string(s.out);
+      Rng rng(seed += 10);
+      const std::vector<float> x = Data(nd * s.in, rng, true);
+      const std::vector<float> dx0 = Data(nd * s.in, rng, false);
+      const std::vector<float> dw0 = Data(s.in * s.out, rng, false);
+      const std::vector<float> db0 = Data(s.out, rng, false);
+      const std::vector<float> g =
+          Expand(Data(nd * s.out, rng, true), *map, s.out);
+      Rng init_e(seed), init_d(seed);
+      const Linear le(s.in, s.out, init_e), ld(s.in, s.out, init_d);
+      for (const Linear* l : {&le, &ld}) {
+        std::vector<Tensor> p = l->Parameters();
+        p[0].ZeroGrad();
+        p[1].ZeroGrad();
+        std::copy(dw0.begin(), dw0.end(), p[0].grad());
+        std::copy(db0.begin(), db0.end(), p[1].grad());
+      }
+
+      Tensor xe = Leaf({nl, s.in}, Expand(x, *map, s.in),
+                       Expand(dx0, *map, s.in));
+      Tensor ye = le.Forward(xe);
+      Sum(Mul(ye, Tensor::FromData(ye.shape(), g))).Backward();
+
+      Tensor xd = Leaf({nd, s.in}, x, dx0);
+      Tensor expanded = ExpandRows(ld.Forward(xd, map), map);
+      Sum(Mul(expanded, Tensor::FromData(expanded.shape(), g))).Backward();
+
+      ExpectSameBytes(Copy(ye.data(), ye.numel()),
+                      Copy(expanded.data(), expanded.numel()), what + " y");
+      const std::vector<Tensor> pe = le.Parameters(), pd = ld.Parameters();
+      ExpectSameBytes(Copy(pe[0].grad(), pe[0].numel()),
+                      Copy(pd[0].grad(), pd[0].numel()), what + " dW");
+      ExpectSameBytes(Copy(pe[1].grad(), s.out), Copy(pd[1].grad(), s.out),
+                      what + " db");
+      ExpectFirstRows(Copy(xe.grad(), xe.numel()),
+                      Copy(xd.grad(), xd.numel()), *map, s.in, what + " dX");
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Pool, RowMapTest, ::testing::Values(1, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "Pool" + std::to_string(info.param);
@@ -312,6 +444,13 @@ TEST(RowMapDeathTest, OpsRejectAMapUnderAGraphRecording) {
         LayerNormReluOp(x, gamma, beta, map);
       },
       "row maps do not run under a graph recording");
+  Tensor w = Tensor::Full({4, 3}, 0.5f, true);
+  EXPECT_DEATH(
+      {
+        graph::BeginRecording();
+        MatMul(x, w, map);
+      },
+      "MatMul : row maps do not run under a graph recording");
 }
 
 }  // namespace

@@ -13,8 +13,9 @@
 # serve_quant_test), and an int8 guard requires the whole int8 serving
 # forward (and the int8 trunk-FC product) to stay at or above fp32's speed.
 # A portable build (-DCEWS_NATIVE_ARCH=OFF) runs the conv, LayerNorm,
-# row-map and int8 spec tests on scalar lanes and scalar rows, which must
-# give the bytes the vector lanes and row lanes give. Both sanitizer passes
+# GEMM, Adam, row-map and int8 spec tests on scalar lanes, scalar rows and
+# the one-row GEMM loop, which must give the bytes the vector lanes, row
+# lanes and GEMM register blocks give. Both sanitizer passes
 # include the row-map spec (nn_row_map_test) and the PPO loss on repeated
 # transitions (agents_policy_test).
 # Run from anywhere; builds land in build/, build-portable/, build-tsan/,
@@ -39,20 +40,24 @@ cmake --build "$repo/build" -j "$jobs"
 echo "== tier-1: ctest =="
 (cd "$repo/build" && ctest --output-on-failure -j "$jobs")
 
-echo "== nn: portable-lane conv, LayerNorm, row-map and int8 spec =="
+echo "== nn: portable-lane conv, LayerNorm, GEMM, Adam, row-map and int8 spec =="
 # Without -march=native the direct conv kernels run on scalar std::fmaf
-# lanes, the fused LayerNorm + ReLU kernel one row at a time and the int8
-# kernels their scalar loops. They must match the same plain references the
-# vector builds match in the tier-1 build, byte for byte, and the row-mapped
-# ops must match the expanded batch there too.
+# lanes, the fused LayerNorm + ReLU kernel one row at a time, the GEMM's
+# leftover rows, ragged tiles and few-row calls the one-row loop, Adam its
+# scalar loop and the int8 kernels their scalar loops. They must match the
+# same plain references the vector builds match in the tier-1 build, byte
+# for byte, and the row-mapped ops must match the expanded batch there too.
 cmake -B "$repo/build-portable" -S "$repo" \
   -DCEWS_NATIVE_ARCH=OFF \
   -DCEWS_BUILD_BENCHMARKS=OFF \
   -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$repo/build-portable" -j "$jobs" --target nn_conv_test \
-  nn_layer_norm_test nn_row_map_test nn_quant_test agents_quant_forward_test
+  nn_layer_norm_test nn_gemm_test nn_optimizer_test nn_row_map_test \
+  nn_quant_test agents_quant_forward_test
 "$repo/build-portable/tests/nn_conv_test"
 "$repo/build-portable/tests/nn_layer_norm_test"
+"$repo/build-portable/tests/nn_gemm_test"
+"$repo/build-portable/tests/nn_optimizer_test"
 "$repo/build-portable/tests/nn_row_map_test"
 "$repo/build-portable/tests/nn_quant_test"
 "$repo/build-portable/tests/agents_quant_forward_test"
