@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -29,7 +28,6 @@
 #include "common/thread_pool.h"
 #include "nn/gemm.h"
 #include "nn/gemm_int8.h"
-#include "nn/graph.h"
 #include "nn/quant.h"
 #include "nn/module.h"
 #include "nn/ops.h"
@@ -206,7 +204,7 @@ BENCHMARK(BM_PolicyNetForwardPaper)->Unit(benchmark::kMicrosecond);
 // The vectorized acting path's inference shape: one Forward over a
 // [batch, C, g, g] stack of per-env states. items_per_second counts env
 // states, so dividing by BM_PolicyNetForward's rate gives the per-state
-// amortization from batching (graph/dispatch overhead is paid once per
+// amortization from batching (tape/dispatch overhead is paid once per
 // batch instead of once per state).
 void BM_PolicyNetForwardBatch(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
@@ -253,30 +251,9 @@ agents::RolloutBuffer FillPpoBuffer(agents::PpoAgent& agent, int steps) {
   return buffer;
 }
 
-/// Sets CEWS_NN_GRAPH / CEWS_NN_CKPT for one of the three execution modes
-/// (0 = tape, 1 = compiled graph, 2 = graph + checkpointing) and restores
-/// the ambient defaults on destruction.
-class ModeGuard {
- public:
-  explicit ModeGuard(int mode) {
-    setenv("CEWS_NN_GRAPH", mode > 0 ? "1" : "0", 1);
-    setenv("CEWS_NN_CKPT", mode == 2 ? "1" : "0", 1);
-  }
-  ~ModeGuard() {
-    unsetenv("CEWS_NN_GRAPH");
-    unsetenv("CEWS_NN_CKPT");
-  }
-};
-
-// mode 0 re-tapes the loss every iteration; mode 1 replays the compiled
-// graph (recorded on the first iteration); mode 2 additionally drops the
-// checkpointed trunk activations and recomputes them during backward. The
-// arena_bytes counter on the graph modes is the planned peak activation
-// memory — compare mode 1 vs 2 for the checkpointing saving.
 void BM_PpoLossBackward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   PoolGuard pool(state);
-  ModeGuard mode_guard(static_cast<int>(state.range(2)));
   const agents::PolicyNetConfig net_config = BenchNet(12);
   agents::PpoAgent agent(net_config, agents::PpoConfig{}, 7);
   agents::RolloutBuffer buffer = FillPpoBuffer(agent, batch);
@@ -289,15 +266,11 @@ void BM_PpoLossBackward(benchmark::State& state) {
     loss.Backward();
     benchmark::DoNotOptimize(loss.item());
   }
-  if (state.range(2) > 0) {
-    state.counters["arena_bytes"] =
-        static_cast<double>(agent.LossGraphArenaBytes());
-  }
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_PpoLossBackward)
-    ->ArgNames({"batch", "threads", "mode"})
-    ->ArgsProduct({{16, 64}, {1, 2, 4}, {0, 1, 2}});
+    ->ArgNames({"batch", "threads"})
+    ->ArgsProduct({{16, 64}, {1, 2, 4}});
 
 // The paper's update shape: the paper net (grid 20, conv 8/16/16, FC 256)
 // and Table II's minibatch of 250 drawn by SampleBatch from one 100-step
@@ -347,59 +320,6 @@ BENCHMARK(BM_PpoLossBackwardPaper)
     ->ArgNames({"threads", "rows"})
     ->ArgsProduct({{1, 4}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
-
-// Graph build vs replay on a bare MLP classification loss: mode 0 is the
-// per-call tape baseline (fwd + bwd), mode 1 replays a compiled graph
-// (fwd + bwd), mode 2 measures the one-time record + finalize + plan cost
-// paid on a shape-cache miss (includes one eager forward).
-void BM_GraphBuildVsReplay(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const nn::Index b = 64, in = 192, h = 256, classes = 32;
-  Rng rng(31);
-  auto rnd = [&](const nn::Shape& s, bool rg) {
-    std::vector<float> v(static_cast<size_t>(nn::NumElements(s)));
-    for (float& f : v) f = static_cast<float>(rng.Uniform(-0.1, 0.1));
-    return nn::Tensor::FromData(s, std::move(v), rg);
-  };
-  nn::Tensor w1 = rnd({in, h}, true);
-  nn::Tensor b1 = rnd({h}, true);
-  nn::Tensor w2 = rnd({h, classes}, true);
-  nn::Tensor x = rnd({b, in}, false);
-  auto idx = std::make_shared<std::vector<nn::Index>>();
-  for (nn::Index i = 0; i < b; ++i) idx->push_back(i % classes);
-  const auto build = [&] {
-    nn::Tensor hid = nn::Relu(nn::AddBias(nn::MatMul(x, w1), b1));
-    return nn::Neg(
-        nn::Mean(nn::GatherLastDim(nn::LogSoftmax(nn::MatMul(hid, w2)), idx)));
-  };
-  if (mode == 1) {
-    nn::graph::BeginRecording();
-    nn::graph::MarkPlaceholder(x);
-    nn::Tensor loss = build();
-    nn::graph::GraphPtr g = nn::graph::EndRecording(loss);
-    for (auto _ : state) {
-      g->Forward();
-      loss.Backward();
-      benchmark::DoNotOptimize(loss.item());
-    }
-    state.counters["arena_bytes"] = static_cast<double>(g->arena_bytes());
-  } else if (mode == 2) {
-    for (auto _ : state) {
-      nn::graph::BeginRecording();
-      nn::graph::MarkPlaceholder(x);
-      nn::Tensor loss = build();
-      nn::graph::GraphPtr g = nn::graph::EndRecording(loss);
-      benchmark::DoNotOptimize(g->arena_bytes());
-    }
-  } else {
-    for (auto _ : state) {
-      nn::Tensor loss = build();
-      loss.Backward();
-      benchmark::DoNotOptimize(loss.item());
-    }
-  }
-}
-BENCHMARK(BM_GraphBuildVsReplay)->ArgNames({"mode"})->Arg(0)->Arg(1)->Arg(2);
 
 void BM_AdamStep(benchmark::State& state) {
   Rng rng(9);
@@ -755,45 +675,6 @@ void RunKernelSweep() {
     }
   }
 
-  // --- Tape vs compiled-graph replay on the PPO training step ---
-  // One fresh agent per (batch, mode): the loss-graph cache compiles under
-  // the mode's checkpoint setting, so modes must not share an agent.
-  out << "\n  ],\n  \"ppo_loss_backward\": [\n";
-  first = true;
-  for (const int batch : {16, 64}) {
-    double seconds[3] = {0, 0, 0};
-    nn::Index arena[3] = {0, 0, 0};
-    for (int mode = 0; mode < 3; ++mode) {
-      ModeGuard guard(mode);
-      agents::PpoAgent agent(BenchNet(12), agents::PpoConfig{}, 7);
-      agents::RolloutBuffer buffer = FillPpoBuffer(agent, batch);
-      std::vector<size_t> idx;
-      for (int i = 0; i < batch; ++i) idx.push_back(static_cast<size_t>(i));
-      seconds[mode] = TimePerIter([&] {
-        nn::ZeroGradients(agent.Parameters());
-        nn::Tensor loss = agent.ComputeLoss(buffer.GatherBatch(idx));
-        loss.Backward();
-      });
-      arena[mode] = agent.LossGraphArenaBytes();
-    }
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"batch\": %d, \"tape_us\": %.1f, \"graph_us\": %.1f, "
-        "\"graph_ckpt_us\": %.1f, \"graph_speedup\": %.3f, "
-        "\"graph_arena_bytes\": %lld, \"ckpt_arena_bytes\": %lld}",
-        batch, seconds[0] * 1e6, seconds[1] * 1e6, seconds[2] * 1e6,
-        seconds[1] > 0 ? seconds[0] / seconds[1] : 0.0,
-        static_cast<long long>(arena[1]), static_cast<long long>(arena[2]));
-    out << (first ? "" : ",\n") << buf;
-    first = false;
-    std::printf(
-        "[kernels] ppo_loss_backward b=%-3d tape %.1f us  graph %.1f us "
-        "(%.2fx)  ckpt %.1f us  arena %lld -> %lld bytes\n",
-        batch, seconds[0] * 1e6, seconds[1] * 1e6,
-        seconds[1] > 0 ? seconds[0] / seconds[1] : 0.0, seconds[2] * 1e6,
-        static_cast<long long>(arena[1]), static_cast<long long>(arena[2]));
-  }
   out << "\n  ]\n}\n";
   std::printf("[kernels] wrote %s\n", out_path.c_str());
 }

@@ -42,16 +42,12 @@ CnnTrunk::CnnTrunk(const CnnTrunkConfig& config, cews::Rng& rng)
 nn::Tensor CnnTrunk::Forward(const nn::Tensor& x, nn::RowMapPtr rows) const {
   CEWS_CHECK_EQ(x.ndim(), 4);
   const nn::Index n = x.dim(0);
-  // Each conv block's fused LayerNorm + ReLU is a gradient-checkpoint
-  // boundary (nn/graph.h): under CEWS_NN_GRAPH=1 + CEWS_NN_CKPT=1 the big
-  // pre-flatten activations between boundaries are dropped after forward
-  // and recomputed during backward. Identity everywhere else.
   nn::Tensor h = conv1_->Forward(x, rows);
-  h = nn::Checkpoint(ln1_->Forward(h, rows));
+  h = ln1_->Forward(h, rows);
   h = conv2_->Forward(h, rows);
-  h = nn::Checkpoint(ln2_->Forward(h, rows));
+  h = ln2_->Forward(h, rows);
   h = conv3_->Forward(h, rows);
-  h = nn::Checkpoint(ln3_->Forward(h, rows));
+  h = ln3_->Forward(h, rows);
   h = nn::Reshape(h, {n, flat_after_conv_});
   return nn::Relu(fc_->Forward(h, std::move(rows)));
 }

@@ -105,9 +105,6 @@ nn::Tensor SpatialCuriosity::Loss(
 
   if (config_.structure == CuriosityStructure::kShared) {
     const nn::Index b = static_cast<nn::Index>(batch.size());
-    // Feature extraction (including the frozen embedding lookups) happens
-    // here, outside any graph recording: the compiled graph sees only the
-    // packed float placeholders.
     std::vector<float> inputs(static_cast<size_t>(b * in_dim), 0.0f);
     std::vector<float> targets(static_cast<size_t>(b * f));
     for (nn::Index i = 0; i < b; ++i) {
@@ -115,35 +112,6 @@ nn::Tensor SpatialCuriosity::Loss(
       WriteFeature(s.from, inputs.data() + i * in_dim);
       inputs[static_cast<size_t>(i * in_dim + f + s.move)] = 1.0f;
       WriteFeature(s.to, targets.data() + i * f);
-    }
-
-    if (nn::graph::GraphModeEnabled() && nn::GradModeEnabled() &&
-        !nn::graph::Recording()) {
-      auto it = loss_graphs_.find(b);
-      if (it == loss_graphs_.end()) {
-        nn::graph::NoteCacheMiss();
-        LossGraph g;
-        g.inputs = nn::Tensor::FromData({b, in_dim}, std::move(inputs));
-        g.targets = nn::Tensor::FromData({b, f}, std::move(targets));
-        nn::graph::BeginRecording();
-        nn::graph::MarkPlaceholder(g.inputs);
-        nn::graph::MarkPlaceholder(g.targets);
-        const nn::Tensor pred = forward_models_[0]->Forward(g.inputs);
-        g.loss = nn::MulScalar(
-            nn::Mean(nn::SumLastDim(nn::Square(nn::Sub(pred, g.targets)))),
-            1.0f / static_cast<float>(f));
-        g.graph = nn::graph::EndRecording(g.loss);
-        it = loss_graphs_.emplace(b, std::move(g)).first;
-      } else {
-        nn::graph::NoteCacheHit();
-        LossGraph& g = it->second;
-        CEWS_CHECK_EQ(inputs.size(), g.inputs.impl()->data.size());
-        std::copy(inputs.begin(), inputs.end(), g.inputs.impl()->data.data());
-        std::copy(targets.begin(), targets.end(),
-                  g.targets.impl()->data.data());
-        g.graph->Forward();
-      }
-      return it->second.loss;
     }
 
     const nn::Tensor pred = forward_models_[0]->Forward(

@@ -12,12 +12,10 @@
 #ifndef CEWS_AGENTS_CURIOSITY_H_
 #define CEWS_AGENTS_CURIOSITY_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "nn/graph.h"
 #include "nn/module.h"
 
 namespace cews::agents {
@@ -79,8 +77,8 @@ class SpatialCuriosity {
                              const std::vector<int>& moves,
                              const std::vector<PositionObs>& to) const;
 
-  /// Training loss Loss^f (Eqn 16) averaged over the batch; build + return
-  /// the graph for backward.
+  /// Training loss Loss^f (Eqn 16) averaged over the batch; the caller
+  /// backpropagates.
   nn::Tensor Loss(const std::vector<CuriositySample>& batch) const;
 
   /// Draws min(batch, samples.size()) samples with replacement from
@@ -102,19 +100,9 @@ class SpatialCuriosity {
   /// Forward model for a given worker (shared: always model 0).
   const nn::Mlp& ModelFor(int worker) const;
 
-  /// One compiled forward-model loss graph (CEWS_NN_GRAPH=1, shared
-  /// structure only), cached per batch size. The kIndependent structure
-  /// partitions the batch by worker, so its sub-batch shapes vary per call
-  /// and it stays on the tape.
-  struct LossGraph {
-    nn::graph::GraphPtr graph;
-    nn::Tensor inputs, targets, loss;
-  };
-
   CuriosityConfig config_;
   std::unique_ptr<nn::Embedding> embedding_;  // frozen, embedding feature
   std::vector<std::unique_ptr<nn::Mlp>> forward_models_;
-  mutable std::map<nn::Index, LossGraph> loss_graphs_;
 };
 
 }  // namespace cews::agents

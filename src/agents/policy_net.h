@@ -64,18 +64,10 @@ class PolicyNet : public nn::Module {
 
   /// x: [N, in_channels, grid, grid].
   ///
-  /// With CEWS_NN_GRAPH=1, no-grad forwards (acting, value bootstraps, the
-  /// serve replicas) replay a compiled forward-only graph cached per
-  /// (net, batch size) on each thread. The returned tensors then belong to
-  /// that graph: the next same-shape no-grad Forward on the thread
-  /// overwrites them, so read the outputs before forwarding again (every
-  /// current caller samples/copies immediately).
-  ///
   /// With `rows`, x holds the distinct states of a batch that repeats some:
   /// the trunk and heads run on them, the logits and value have
   /// rows->logical() rows (nn::ExpandRows at the head outputs) and
-  /// `feature` keeps the distinct rows. Such a forward always runs on the
-  /// tape.
+  /// `feature` keeps the distinct rows.
   PolicyOutput Forward(const nn::Tensor& x,
                        nn::RowMapPtr rows = nullptr) const;
 
@@ -84,11 +76,6 @@ class PolicyNet : public nn::Module {
   const PolicyNetConfig& config() const { return config_; }
 
  private:
-  /// The trunk+heads DAG itself, shared by the tape path, the serve-graph
-  /// recording, and enclosing loss recordings.
-  PolicyOutput ForwardImpl(const nn::Tensor& x,
-                           nn::RowMapPtr rows = nullptr) const;
-
   PolicyNetConfig config_;
   std::unique_ptr<CnnTrunk> trunk_;
   std::unique_ptr<nn::Linear> move_head_;

@@ -35,67 +35,6 @@ float PpoAgent::Value(const std::vector<float>& state) const {
   return net_->Forward(x).value.item();
 }
 
-PpoAgent::LossParts PpoAgent::BuildLoss(
-    const PolicyOutput& out, const nn::Tensor& logp_old,
-    const nn::Tensor& advantage, const nn::Tensor& returns,
-    std::shared_ptr<const std::vector<nn::Index>> move_idx,
-    std::shared_ptr<const std::vector<nn::Index>> charge_idx,
-    nn::Index b) const {
-  LossParts parts;
-
-  // Joint new log-prob: sum over workers of move + charge log-probs.
-  nn::Tensor move_logp = nn::LogSoftmax(out.move_logits);    // [B, W, M]
-  nn::Tensor charge_logp = nn::LogSoftmax(out.charge_logits);  // [B, W, 2]
-  parts.logp_new = nn::Add(
-      nn::SumLastDim(nn::GatherLastDim(move_logp, std::move(move_idx))),
-      nn::SumLastDim(nn::GatherLastDim(charge_logp, std::move(charge_idx))));
-
-  // Clipped surrogate objective (Eqn 12); minimize its negation.
-  parts.ratio = nn::Exp(nn::Sub(parts.logp_new, logp_old));
-  nn::Tensor surr1 = nn::Mul(parts.ratio, advantage);
-  nn::Tensor surr2 = nn::Mul(
-      nn::Clip(parts.ratio, 1.0f - config_.clip_eps, 1.0f + config_.clip_eps),
-      advantage);
-  parts.policy_loss = nn::Neg(nn::Mean(nn::Min(surr1, surr2)));
-
-  // Value loss (Eqn 11).
-  parts.value_loss = nn::Mean(nn::Square(nn::Sub(out.value, returns)));
-
-  // Entropy bonus over both heads, mean per sample.
-  const float inv_b = 1.0f / static_cast<float>(b);
-  nn::Tensor move_probs = nn::Softmax(out.move_logits);
-  nn::Tensor charge_probs = nn::Softmax(out.charge_logits);
-  parts.entropy = nn::MulScalar(
-      nn::Add(nn::Sum(nn::Mul(move_probs, move_logp)),
-              nn::Sum(nn::Mul(charge_probs, charge_logp))),
-      -inv_b);
-
-  parts.total = nn::Add(
-      nn::Add(parts.policy_loss,
-              nn::MulScalar(parts.value_loss, config_.value_coef)),
-      nn::MulScalar(parts.entropy, -config_.entropy_coef));
-  return parts;
-}
-
-void PpoAgent::FillStats(const LossParts& parts, const float* old_logp,
-                         nn::Index b, LossStats* stats) const {
-  stats->policy_loss = parts.policy_loss.item();
-  stats->value_loss = parts.value_loss.item();
-  stats->entropy = parts.entropy.item();
-  stats->total = parts.total.item();
-  double kl = 0.0;
-  int clipped = 0;
-  for (nn::Index i = 0; i < b; ++i) {
-    kl += old_logp[i] - parts.logp_new.data()[i];
-    const float r = parts.ratio.data()[i];
-    if (r < 1.0f - config_.clip_eps || r > 1.0f + config_.clip_eps) {
-      ++clipped;
-    }
-  }
-  stats->approx_kl = static_cast<float>(kl / b);
-  stats->clip_fraction = static_cast<float>(clipped) / static_cast<float>(b);
-}
-
 nn::Tensor PpoAgent::ComputeLoss(MiniBatch batch, LossStats* stats) const {
   CEWS_TRACE_SCOPE("agents.PpoLoss");
   static obs::Histogram* const loss_ns = obs::GetHistogram("ppo.loss_ns");
@@ -125,29 +64,20 @@ nn::Tensor PpoAgent::ComputeLoss(MiniBatch batch, LossStats* stats) const {
     }
   }
 
-  // How many rows the trunk runs on: the distinct transitions on the tape,
-  // every row in graph mode.
+  // How many rows the policy net runs on.
   static obs::Counter* const minibatch_rows =
       obs::GetCounter("ppo.minibatch_rows");
   static obs::Counter* const distinct_rows =
       obs::GetCounter("ppo.distinct_rows");
   minibatch_rows->Add(static_cast<uint64_t>(b));
 
-  // Graph mode: compile the whole loss once per batch size, then replay it
-  // against rewritten placeholders — no per-step tape rebuild.
-  if (nn::graph::GraphModeEnabled() && nn::GradModeEnabled() &&
-      !nn::graph::Recording()) {
-    distinct_rows->Add(static_cast<uint64_t>(b));
-    return GraphLoss(std::move(batch), stats);
-  }
-
   // A minibatch larger than its buffer draws with replacement and repeats
-  // transitions. The trunk's convs and LayerNorms then run once per
-  // distinct transition, numbered by first occurrence, with every gradient
-  // keeping its bytes (nn/ops.h "RowMap"); the states compact to those rows
-  // in place, which is safe in ascending order because first[u] >= u.
+  // transitions. The policy net then runs once per distinct transition,
+  // numbered by first occurrence, with every gradient keeping its bytes
+  // (nn/ops.h "RowMap"); the states compact to those rows in place, which
+  // is safe in ascending order because first[u] >= u.
   nn::RowMapPtr rows;
-  if (!batch.indices.empty() && !nn::graph::Recording()) {
+  if (!batch.indices.empty()) {
     CEWS_CHECK_EQ(static_cast<nn::Index>(batch.indices.size()), b);
     rows = nn::RowMap::Number(batch.indices);
     if (rows->distinct() == b) rows = nullptr;
@@ -170,88 +100,60 @@ nn::Tensor PpoAgent::ComputeLoss(MiniBatch batch, LossStats* stats) const {
       std::move(batch.states));
   const PolicyOutput out = net_->Forward(x, std::move(rows));
 
-  const std::vector<float> old_logp = std::move(batch.log_probs);
-  nn::Tensor logp_old = nn::Tensor::FromData({b}, old_logp);
+  nn::Tensor logp_old = nn::Tensor::FromData({b}, std::move(batch.log_probs));
   nn::Tensor advantage =
       nn::Tensor::FromData({b}, std::move(batch.advantages));
   nn::Tensor returns = nn::Tensor::FromData({b}, std::move(batch.returns));
 
-  LossParts parts = BuildLoss(
-      out, logp_old, advantage, returns,
-      std::make_shared<const std::vector<nn::Index>>(
-          std::move(batch.move_indices)),
-      std::make_shared<const std::vector<nn::Index>>(
-          std::move(batch.charge_indices)),
-      b);
-  if (stats != nullptr) FillStats(parts, old_logp.data(), b, stats);
-  return parts.total;
-}
+  // Joint new log-prob: sum over workers of move + charge log-probs.
+  nn::Tensor move_logp = nn::LogSoftmax(out.move_logits);    // [B, W, M]
+  nn::Tensor charge_logp = nn::LogSoftmax(out.charge_logits);  // [B, W, 2]
+  nn::Tensor logp_new = nn::Add(
+      nn::SumLastDim(nn::GatherLastDim(move_logp, batch.move_indices)),
+      nn::SumLastDim(nn::GatherLastDim(charge_logp, batch.charge_indices)));
 
-nn::Index PpoAgent::LossGraphArenaBytes() const {
-  nn::Index total = 0;
-  for (const auto& [batch, g] : loss_graphs_) {
-    if (g.graph != nullptr) total += g.graph->arena_bytes();
+  // Clipped surrogate objective (Eqn 12); minimize its negation.
+  nn::Tensor ratio = nn::Exp(nn::Sub(logp_new, logp_old));
+  nn::Tensor surr1 = nn::Mul(ratio, advantage);
+  nn::Tensor surr2 = nn::Mul(
+      nn::Clip(ratio, 1.0f - config_.clip_eps, 1.0f + config_.clip_eps),
+      advantage);
+  nn::Tensor policy_loss = nn::Neg(nn::Mean(nn::Min(surr1, surr2)));
+
+  // Value loss (Eqn 11).
+  nn::Tensor value_loss = nn::Mean(nn::Square(nn::Sub(out.value, returns)));
+
+  // Entropy bonus over both heads, mean per sample.
+  const float inv_b = 1.0f / static_cast<float>(b);
+  nn::Tensor move_probs = nn::Softmax(out.move_logits);
+  nn::Tensor charge_probs = nn::Softmax(out.charge_logits);
+  nn::Tensor entropy = nn::MulScalar(
+      nn::Add(nn::Sum(nn::Mul(move_probs, move_logp)),
+              nn::Sum(nn::Mul(charge_probs, charge_logp))),
+      -inv_b);
+
+  nn::Tensor total = nn::Add(
+      nn::Add(policy_loss, nn::MulScalar(value_loss, config_.value_coef)),
+      nn::MulScalar(entropy, -config_.entropy_coef));
+
+  if (stats != nullptr) {
+    stats->policy_loss = policy_loss.item();
+    stats->value_loss = value_loss.item();
+    stats->entropy = entropy.item();
+    stats->total = total.item();
+    double kl = 0.0;
+    int clipped = 0;
+    for (nn::Index i = 0; i < b; ++i) {
+      kl += logp_old.data()[i] - logp_new.data()[i];
+      const float r = ratio.data()[i];
+      if (r < 1.0f - config_.clip_eps || r > 1.0f + config_.clip_eps) {
+        ++clipped;
+      }
+    }
+    stats->approx_kl = static_cast<float>(kl / b);
+    stats->clip_fraction = static_cast<float>(clipped) / static_cast<float>(b);
   }
   return total;
-}
-
-nn::Tensor PpoAgent::GraphLoss(MiniBatch batch, LossStats* stats) const {
-  const PolicyNetConfig& cfg = net_->config();
-  const nn::Index b = batch.batch;
-  auto it = loss_graphs_.find(b);
-  if (it == loss_graphs_.end()) {
-    nn::graph::NoteCacheMiss();
-    LossGraph g;
-    // Placeholder leaves adopt the recording batch's data; replays rewrite
-    // them in place. The gather indices live behind shared handles the
-    // recorded thunks re-read (and re-bounds-check) on every run.
-    g.move_idx = std::make_shared<std::vector<nn::Index>>(
-        std::move(batch.move_indices));
-    g.charge_idx = std::make_shared<std::vector<nn::Index>>(
-        std::move(batch.charge_indices));
-    g.x = nn::Tensor::FromData({b, cfg.in_channels, cfg.grid, cfg.grid},
-                               std::move(batch.states));
-    g.logp_old = nn::Tensor::FromData({b}, std::move(batch.log_probs));
-    g.advantage = nn::Tensor::FromData({b}, std::move(batch.advantages));
-    g.returns = nn::Tensor::FromData({b}, std::move(batch.returns));
-    nn::graph::BeginRecording();
-    nn::graph::MarkPlaceholder(g.x);
-    nn::graph::MarkPlaceholder(g.logp_old);
-    nn::graph::MarkPlaceholder(g.advantage);
-    nn::graph::MarkPlaceholder(g.returns);
-    const PolicyOutput out = net_->Forward(g.x);
-    g.parts = BuildLoss(out, g.logp_old, g.advantage, g.returns, g.move_idx,
-                        g.charge_idx, b);
-    // LossStats reads these between replays.
-    nn::graph::Retain(g.parts.logp_new);
-    nn::graph::Retain(g.parts.ratio);
-    nn::graph::Retain(g.parts.policy_loss);
-    nn::graph::Retain(g.parts.value_loss);
-    nn::graph::Retain(g.parts.entropy);
-    g.graph = nn::graph::EndRecording(g.parts.total);
-    // The recording pass already ran this batch's forward.
-    it = loss_graphs_.emplace(b, std::move(g)).first;
-  } else {
-    nn::graph::NoteCacheHit();
-    LossGraph& g = it->second;
-    CEWS_CHECK_EQ(batch.states.size(), g.x.impl()->data.size());
-    std::copy(batch.states.begin(), batch.states.end(),
-              g.x.impl()->data.data());
-    std::copy(batch.log_probs.begin(), batch.log_probs.end(),
-              g.logp_old.impl()->data.data());
-    std::copy(batch.advantages.begin(), batch.advantages.end(),
-              g.advantage.impl()->data.data());
-    std::copy(batch.returns.begin(), batch.returns.end(),
-              g.returns.impl()->data.data());
-    *g.move_idx = std::move(batch.move_indices);
-    *g.charge_idx = std::move(batch.charge_indices);
-    g.graph->Forward();
-  }
-  LossGraph& g = it->second;
-  if (stats != nullptr) {
-    FillStats(g.parts, g.logp_old.data(), b, stats);
-  }
-  return g.parts.total;
 }
 
 nn::Tensor PpoAgent::ComputeLoss(const RolloutBuffer& buffer,

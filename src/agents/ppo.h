@@ -6,7 +6,6 @@
 #ifndef CEWS_AGENTS_PPO_H_
 #define CEWS_AGENTS_PPO_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "agents/rollout.h"
 #include "common/rng.h"
 #include "env/action_space.h"
-#include "nn/graph.h"
 #include "nn/optimizer.h"
 
 namespace cews::agents {
@@ -68,15 +66,15 @@ class PpoAgent {
   /// Value estimate for a state (no tape), used to bootstrap GAE.
   float Value(const std::vector<float>& state) const;
 
-  /// Builds the PPO loss graph over a packed minibatch: J_clip (Eqn 12) +
+  /// Builds the PPO loss over a packed minibatch: J_clip (Eqn 12) +
   /// value_coef * Loss^v (Eqn 11) - entropy bonus. Caller backpropagates.
   /// The minibatch must carry advantages (source buffer had
   /// ComputeAdvantages run). Takes the batch by value and adopts its
   /// arrays, so pass a freshly sampled batch (e.g. buffer.SampleBatch)
   /// without copying. When the batch's buffer indices repeat (a batch
-  /// larger than its buffer draws with replacement), the trunk's convs and
-  /// LayerNorms run once per distinct transition; the loss and every
-  /// gradient keep the bytes of running every row (nn/ops.h "RowMap").
+  /// larger than its buffer draws with replacement), the policy net runs
+  /// once per distinct transition; the loss and every gradient keep the
+  /// bytes of running every row (nn/ops.h "RowMap").
   nn::Tensor ComputeLoss(MiniBatch batch, LossStats* stats = nullptr) const;
 
   /// Convenience overload: gathers `idx` of `buffer` into a MiniBatch
@@ -96,48 +94,10 @@ class PpoAgent {
   const PpoConfig& config() const { return config_; }
   nn::Adam& optimizer() { return *optimizer_; }
 
-  /// Planned activation-arena bytes summed over this agent's compiled loss
-  /// graphs (0 until a graph-mode ComputeLoss ran). Bench/observability.
-  nn::Index LossGraphArenaBytes() const;
-
  private:
-  /// The loss expression's intermediate tensors, shared between the eager
-  /// tape path and the compiled-graph path so both build the identical DAG.
-  struct LossParts {
-    nn::Tensor logp_new, ratio, policy_loss, value_loss, entropy, total;
-  };
-
-  /// One compiled PPO loss graph (CEWS_NN_GRAPH=1), cached per minibatch
-  /// size: the placeholder leaves the trainer rewrites before each replay,
-  /// the shared gather-index handles for the taken actions, and the
-  /// retained diagnostic tensors LossStats reads after each forward.
-  struct LossGraph {
-    nn::graph::GraphPtr graph;
-    nn::Tensor x, logp_old, advantage, returns;
-    std::shared_ptr<std::vector<nn::Index>> move_idx, charge_idx;
-    LossParts parts;
-  };
-
-  /// Builds the loss DAG over an already-forwarded policy output.
-  LossParts BuildLoss(const PolicyOutput& out, const nn::Tensor& logp_old,
-                      const nn::Tensor& advantage, const nn::Tensor& returns,
-                      std::shared_ptr<const std::vector<nn::Index>> move_idx,
-                      std::shared_ptr<const std::vector<nn::Index>> charge_idx,
-                      nn::Index b) const;
-
-  /// Fills `stats` from a computed loss DAG; `old_logp` points at the B
-  /// behavior log-probs.
-  void FillStats(const LossParts& parts, const float* old_logp, nn::Index b,
-                 LossStats* stats) const;
-
-  /// Graph-mode ComputeLoss: compiles the loss once per batch size, then
-  /// replays it against rewritten placeholders.
-  nn::Tensor GraphLoss(MiniBatch batch, LossStats* stats) const;
-
   PpoConfig config_;
   std::unique_ptr<PolicyNet> net_;
   std::unique_ptr<nn::Adam> optimizer_;
-  mutable std::map<nn::Index, LossGraph> loss_graphs_;
 };
 
 }  // namespace cews::agents

@@ -182,8 +182,7 @@ AgreementStats ActionAgreementOnStates(const PolicyNet& net,
   CEWS_CHECK_EQ(static_cast<int>(states.size()),
                 batch * cfg.in_channels * cfg.grid * cfg.grid);
 
-  // fp32 reference logits, copied out before anything else runs (graph-mode
-  // outputs are invalidated by the net's next no-grad forward).
+  // fp32 reference logits.
   std::vector<float> ref_move, ref_charge;
   {
     nn::NoGradGuard no_grad;

@@ -1,6 +1,6 @@
 // cews::agents — the int8 inference executor for the policy architecture.
 //
-// QuantPolicyForward replays PolicyNet::ForwardImpl's exact layer sequence
+// QuantPolicyForward replays PolicyNet::Forward's exact layer sequence
 // (conv3x3-LN-ReLU x3 -> flatten -> FC-ReLU -> three linear heads) against
 // a publish-time nn::quant::QuantizedParams bundle instead of fp32 tensors.
 // The three convs and the trunk FC run on the packed int8 kernels

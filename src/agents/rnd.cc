@@ -22,7 +22,7 @@ RndCuriosity::RndCuriosity(const RndConfig& config, uint64_t seed)
 
 nn::Tensor RndCuriosity::TargetEmbedding(const nn::Tensor& x) const {
   // The target network is frozen: evaluate it without tape so its output is
-  // a constant in the predictor's loss graph.
+  // a constant in the predictor's loss.
   nn::NoGradGuard no_grad;
   return target_->Forward(x);
 }
@@ -52,36 +52,6 @@ nn::Tensor RndCuriosity::Loss(const MiniBatch& batch) const {
   CEWS_CHECK_GT(batch.batch, 0) << "RND Loss on an empty minibatch";
   CEWS_CHECK_EQ(batch.state_size, config_.state_size);
   const nn::Index b = batch.batch;
-
-  if (nn::graph::GraphModeEnabled() && nn::GradModeEnabled() &&
-      !nn::graph::Recording()) {
-    auto it = loss_graphs_.find(b);
-    if (it == loss_graphs_.end()) {
-      nn::graph::NoteCacheMiss();
-      LossGraph g;
-      g.x = nn::Tensor::FromData({b, config_.state_size}, batch.states);
-      nn::graph::BeginRecording();
-      nn::graph::MarkPlaceholder(g.x);
-      // The target net forwards under NoGrad, so its steps carry no
-      // closures — but they read the placeholder, so they replay (they are
-      // not memoized away).
-      const nn::Tensor target = TargetEmbedding(g.x);
-      const nn::Tensor pred = predictor_->Forward(g.x);
-      g.loss = nn::MulScalar(
-          nn::Mean(nn::SumLastDim(nn::Square(nn::Sub(pred, target)))),
-          1.0f / static_cast<float>(config_.out_dim));
-      g.graph = nn::graph::EndRecording(g.loss);
-      it = loss_graphs_.emplace(b, std::move(g)).first;
-    } else {
-      nn::graph::NoteCacheHit();
-      LossGraph& g = it->second;
-      CEWS_CHECK_EQ(batch.states.size(), g.x.impl()->data.size());
-      std::copy(batch.states.begin(), batch.states.end(),
-                g.x.impl()->data.data());
-      g.graph->Forward();
-    }
-    return it->second.loss;
-  }
 
   // The packed state block is already the [B, state_size] tensor layout.
   const nn::Tensor x =

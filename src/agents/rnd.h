@@ -5,13 +5,11 @@
 #ifndef CEWS_AGENTS_RND_H_
 #define CEWS_AGENTS_RND_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "agents/rollout.h"
 #include "common/rng.h"
-#include "nn/graph.h"
 #include "nn/module.h"
 
 namespace cews::agents {
@@ -48,7 +46,7 @@ class RndCuriosity {
   nn::Tensor Loss(const MiniBatch& batch) const;
 
   /// Predictor training loss over a batch of state pointers (row-major
-  /// [batch, state_size]); returns the graph for backward.
+  /// [batch, state_size]); the caller backpropagates.
   nn::Tensor Loss(const std::vector<const std::vector<float>*>& states) const;
 
   /// Trainable parameters (predictor only).
@@ -59,18 +57,9 @@ class RndCuriosity {
  private:
   nn::Tensor TargetEmbedding(const nn::Tensor& x) const;
 
-  /// One compiled predictor-loss graph (CEWS_NN_GRAPH=1) per batch size:
-  /// both the frozen target's forward (recorded without a tape) and the
-  /// predictor's forward replay against the rewritten state placeholder.
-  struct LossGraph {
-    nn::graph::GraphPtr graph;
-    nn::Tensor x, loss;
-  };
-
   RndConfig config_;
   std::unique_ptr<nn::Mlp> target_;     // frozen
   std::unique_ptr<nn::Mlp> predictor_;  // trained
-  mutable std::map<nn::Index, LossGraph> loss_graphs_;
 };
 
 }  // namespace cews::agents

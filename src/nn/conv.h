@@ -37,8 +37,8 @@
 namespace cews::nn::conv {
 
 /// Geometry of one Conv2d call, the padded-input layout its kernels read,
-/// and the sizes of their scratch (floats). All scratch is caller-owned:
-/// workspace-backed in eager mode, planner-assigned in graph mode.
+/// and the sizes of their scratch (floats). All scratch is caller-owned
+/// (workspace-backed in nn::Conv2d).
 struct Plan {
   /// `rows` (optional) maps logical images to the n distinct ones, numbered
   /// by first occurrence (nn/ops.h "RowMap"); none means the identity.

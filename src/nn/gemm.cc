@@ -401,7 +401,7 @@ void NTRows(Index i0, Index i1, Index n, Index k, const float* x, Index ldx,
 
 void GemmNN(Index m, Index n, Index k, const float* a, Index rsa, Index csa,
             const float* b, Index ldb, float* c, Index ldc,
-            float* pack_scratch, const Index* lrows) {
+            const Index* lrows) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   if (m < kMr && lrows == nullptr) {
     // Too few rows to repay a pack: every B element is read m times where
@@ -413,11 +413,9 @@ void GemmNN(Index m, Index n, Index k, const float* a, Index rsa, Index csa,
     });
     return;
   }
-  // A pack writes all k*n panel floats, so caller scratch needs no zeroing.
-  ScopedVec packed(pack_scratch != nullptr ? 0 : k * n);
-  float* pp = pack_scratch != nullptr ? pack_scratch : packed.data();
-  PackNN(k, n, b, ldb, lrows, pp);
-  const float* p = pp;
+  ScopedVec packed(k * n);
+  PackNN(k, n, b, ldb, lrows, packed.data());
+  const float* p = packed.data();
   ParallelKernel(m, 2 * k * n, [&](Index r0, Index r1) {
     if (lrows != nullptr) {
       NNRows(r0, r1, n, k, a, rsa, StepMap{lrows, csa}, p, c, ldc);
@@ -428,13 +426,11 @@ void GemmNN(Index m, Index n, Index k, const float* a, Index rsa, Index csa,
 }
 
 void GemmNT(Index m, Index n, Index k, const float* x, Index ldx,
-            const float* y, Index ldy, float* c, Index ldc,
-            float* pack_scratch) {
+            const float* y, Index ldy, float* c, Index ldc) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  ScopedVec packed(pack_scratch != nullptr ? 0 : k * n);
-  float* pp = pack_scratch != nullptr ? pack_scratch : packed.data();
-  PackNT(k, n, y, ldy, pp);
-  const float* p = pp;
+  ScopedVec packed(k * n);
+  PackNT(k, n, y, ldy, packed.data());
+  const float* p = packed.data();
   ParallelKernel(m, 2 * k * n, [&](Index r0, Index r1) {
     NTRows(r0, r1, n, k, x, ldx, p, c, ldc);
   });

@@ -106,12 +106,9 @@ void ParallelKernel(Index n, Index flops_per_index, Fn&& fn) {
 }
 
 /// Convenience wrapper: C (m x n, ldc) += A (m x k, strides rsa/csa) ·
-/// B (k x n, ldb). Packs B into `pack_scratch` when given (k*n floats,
-/// fully overwritten — callers with planner-assigned arenas pass it to skip
-/// the workspace), otherwise into the per-thread workspace; then runs
-/// NNRows over the pool (rows partitioned; results independent of thread
-/// count). With fewer than kMr rows and no `lrows`, B is read in place and
-/// `pack_scratch` is not touched.
+/// B (k x n, ldb). Packs B into the per-thread workspace, then runs NNRows
+/// over the pool (rows partitioned; results independent of thread count).
+/// With fewer than kMr rows and no `lrows`, B is read in place.
 ///
 /// `lrows` (k entries) replays a row map (nn/ops.h "RowMap") along the
 /// reduction: step l reads A at a[i*rsa + lrows[l]*csa] and B row
@@ -119,13 +116,12 @@ void ParallelKernel(Index n, Index flops_per_index, Fn&& fn) {
 /// that hold only its distinct rows, with each element's chain unchanged.
 void GemmNN(Index m, Index n, Index k, const float* a, Index rsa, Index csa,
             const float* b, Index ldb, float* c, Index ldc,
-            float* pack_scratch = nullptr, const Index* lrows = nullptr);
+            const Index* lrows = nullptr);
 
-/// Convenience wrapper: C (m x n, ldc) += X (m x k, ldx) · Y (n x k, ldy)ᵀ.
-/// `pack_scratch` as in GemmNN (k*n floats).
+/// Convenience wrapper: C (m x n, ldc) += X (m x k, ldx) · Y (n x k, ldy)ᵀ,
+/// packing Y into the per-thread workspace.
 void GemmNT(Index m, Index n, Index k, const float* x, Index ldx,
-            const float* y, Index ldy, float* c, Index ldc,
-            float* pack_scratch = nullptr);
+            const float* y, Index ldy, float* c, Index ldc);
 
 /// The pre-packing scalar kernels, retained (loop structure verbatim,
 /// multiply-accumulates spelled as std::fmaf like the packed kernels) as the

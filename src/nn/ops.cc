@@ -11,7 +11,6 @@
 #include "common/stopwatch.h"
 #include "nn/conv.h"
 #include "nn/gemm.h"
-#include "nn/graph.h"
 #include "nn/layer_norm.h"
 #include "nn/workspace.h"
 #include "obs/metrics.h"
@@ -32,24 +31,11 @@ namespace {
 // Chunk boundaries therefore never change any floating-point result:
 // outputs are bitwise-identical at any thread count.
 //
-// Execution modes (nn/tensor.h): each op computes its forward through a
-// thunk that reads its inputs' *current* data pointers. Eagerly the thunk
-// runs once and is discarded; under a graph recording (nn/graph.h) it is
-// additionally registered so the compiled graph can replay it against new
-// placeholder data — with outputs and kernel scratch living at
-// planner-assigned arena offsets instead of workspace buckets. Backward
-// closures are identical in both modes, which is the heart of the
-// tape/graph bitwise-equivalence contract.
-//
 // Transient buffers (padded conv inputs, packed panels, transposed
 // gradients) and op outputs come from the per-thread workspace arena
-// (nn/workspace.h) in eager mode, so a steady-state training step recycles
-// every one of them instead of hitting the allocator; in graph mode they are
-// graph::OpBufs the planner folds into the arena.
+// (nn/workspace.h), so a steady-state training step recycles every one of
+// them instead of hitting the allocator.
 // ---------------------------------------------------------------------------
-
-using graph::BufLife;
-using graph::OpBuf;
 
 /// Telemetry for one hot kernel (obs/metrics.h): call count plus FLOP- and
 /// time-weighted forward/backward totals, so a scrape can report effective
@@ -83,16 +69,15 @@ KernelMetrics& LayerNormMetrics() {
   return *m;
 }
 
-/// Builds the result node: adopts data, wires tape parents (only those that
-/// require grad — requires_grad never propagates through a non-tracking
-/// tensor, so others cannot reach a leaf), and marks requires_grad when grad
-/// mode is on. The caller installs backward_fn afterwards iff tracking.
-Tensor MakeResult(Shape shape, std::vector<float> data,
-                  std::initializer_list<Tensor> inputs) {
+/// Builds the result node over fresh (zero-filled, workspace-recycled)
+/// storage the op then fills: wires tape parents (only those that require
+/// grad — requires_grad never propagates through a non-tracking tensor, so
+/// others cannot reach a leaf), and marks requires_grad when grad mode is
+/// on. The caller installs backward_fn afterwards iff tracking.
+Tensor NewResult(Shape shape, std::initializer_list<Tensor> inputs) {
   auto impl = std::make_shared<TensorImpl>();
-  CEWS_CHECK_EQ(static_cast<size_t>(NumElements(shape)), data.size());
+  impl->data = Workspace::AcquireVec(NumElements(shape));
   impl->shape = std::move(shape);
-  impl->data = std::move(data);
   bool track = false;
   if (GradModeEnabled()) {
     for (const Tensor& t : inputs) {
@@ -106,14 +91,6 @@ Tensor MakeResult(Shape shape, std::vector<float> data,
     }
   }
   return Tensor(std::move(impl));
-}
-
-/// MakeResult over fresh (zero-filled, workspace-recycled) storage: the
-/// thunk-style ops allocate the output first and let the forward thunk fill
-/// it, so the very same thunk can refill it on graph replay.
-Tensor NewResult(Shape shape, std::initializer_list<Tensor> inputs) {
-  const Index n = NumElements(shape);
-  return MakeResult(std::move(shape), Workspace::AcquireVec(n), inputs);
 }
 
 /// True when the result should record a backward closure.
@@ -131,15 +108,10 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Add");
   Tensor r = NewResult(a.shape(), {a, b});
   const Index n = a.numel();
-  auto fwd = [o = r.impl().get(), xa = a.impl().get(), xb = b.impl().get(),
-              n]() {
-    const float* pa = xa->data.data();
-    const float* pb = xb->data.data();
-    float* po = o->data.data();
-    for (Index i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
-  };
-  fwd();
-  graph::Record(r, {a, b}, fwd);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = r.data();
+  for (Index i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ia = a.impl();
@@ -163,15 +135,10 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Sub");
   Tensor r = NewResult(a.shape(), {a, b});
   const Index n = a.numel();
-  auto fwd = [o = r.impl().get(), xa = a.impl().get(), xb = b.impl().get(),
-              n]() {
-    const float* pa = xa->data.data();
-    const float* pb = xb->data.data();
-    float* po = o->data.data();
-    for (Index i = 0; i < n; ++i) po[i] = pa[i] - pb[i];
-  };
-  fwd();
-  graph::Record(r, {a, b}, fwd);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = r.data();
+  for (Index i = 0; i < n; ++i) po[i] = pa[i] - pb[i];
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ia = a.impl();
@@ -195,15 +162,10 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Mul");
   Tensor r = NewResult(a.shape(), {a, b});
   const Index n = a.numel();
-  auto fwd = [o = r.impl().get(), xa = a.impl().get(), xb = b.impl().get(),
-              n]() {
-    const float* pa = xa->data.data();
-    const float* pb = xb->data.data();
-    float* po = o->data.data();
-    for (Index i = 0; i < n; ++i) po[i] = pa[i] * pb[i];
-  };
-  fwd();
-  graph::Record(r, {a, b}, fwd);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = r.data();
+  for (Index i = 0; i < n; ++i) po[i] = pa[i] * pb[i];
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ia = a.impl();
@@ -226,13 +188,9 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor AddScalar(const Tensor& a, float s) {
   Tensor r = NewResult(a.shape(), {a});
   const Index n = a.numel();
-  auto fwd = [o = r.impl().get(), xa = a.impl().get(), n, s]() {
-    const float* pa = xa->data.data();
-    float* po = o->data.data();
-    for (Index i = 0; i < n; ++i) po[i] = pa[i] + s;
-  };
-  fwd();
-  graph::Record(r, {a}, fwd);
+  const float* pa = a.data();
+  float* po = r.data();
+  for (Index i = 0; i < n; ++i) po[i] = pa[i] + s;
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ia = a.impl();
@@ -247,13 +205,9 @@ Tensor AddScalar(const Tensor& a, float s) {
 Tensor MulScalar(const Tensor& a, float s) {
   Tensor r = NewResult(a.shape(), {a});
   const Index n = a.numel();
-  auto fwd = [o = r.impl().get(), xa = a.impl().get(), n, s]() {
-    const float* pa = xa->data.data();
-    float* po = o->data.data();
-    for (Index i = 0; i < n; ++i) po[i] = pa[i] * s;
-  };
-  fwd();
-  graph::Record(r, {a}, fwd);
+  const float* pa = a.data();
+  float* po = r.data();
+  for (Index i = 0; i < n; ++i) po[i] = pa[i] * s;
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ia = a.impl();
@@ -270,12 +224,9 @@ Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
 namespace {
 
-/// CHECKs that a row map fits a batch of `n` distinct rows and that no
-/// graph is recording (row maps are tape-only).
+/// CHECKs that a row map fits a batch of `n` distinct rows.
 void CheckRowMap(const RowMapPtr& rows, Index n, const char* op) {
   if (rows == nullptr) return;
-  CEWS_CHECK(!graph::Recording())
-      << op << ": row maps do not run under a graph recording";
   CEWS_CHECK_EQ(n, rows->distinct())
       << op << ": the batch must hold the map's distinct rows";
 }
@@ -289,17 +240,12 @@ Tensor AddBias(const Tensor& x, const Tensor& b, RowMapPtr rows) {
   CEWS_CHECK_EQ(b.dim(0), d);
   CheckRowMap(rows, n, "AddBias");
   Tensor r = NewResult(x.shape(), {x, b});
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), bi = b.impl().get(), n,
-              d]() {
-    const float* px = xi->data.data();
-    const float* pb = bi->data.data();
-    float* po = o->data.data();
-    for (Index i = 0; i < n; ++i) {
-      for (Index j = 0; j < d; ++j) po[i * d + j] = px[i * d + j] + pb[j];
-    }
-  };
-  fwd();
-  graph::Record(r, {x, b}, fwd);
+  const float* px = x.data();
+  const float* pb = b.data();
+  float* po = r.data();
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j < d; ++j) po[i * d + j] = px[i * d + j] + pb[j];
+  }
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ix = x.impl();
@@ -334,46 +280,22 @@ Tensor MatMul(const Tensor& a, const Tensor& b, RowMapPtr rows) {
   CheckRowMap(rows, n, "MatMul");
   // dB reduces over the logical rows; the other products run per row held.
   const Index logical = rows != nullptr ? rows->logical() : n;
-  const bool rec = graph::Recording();
   Tensor r = NewResult({n, m}, {a, b});
-  const bool track = Tracking(r);
-  const uint64_t flops = 2ull * static_cast<uint64_t>(n * k * m);
-  // Graph mode plans the GEMM pack panels into the arena (a pack writes all
-  // of its k*n floats, so reused slots need no zeroing); eager mode keeps
-  // the per-thread workspace inside the wrappers.
-  std::shared_ptr<OpBuf> pack_fwd =
-      rec ? graph::AllocBuf(k * m, BufLife::kFwd) : nullptr;
-  std::shared_ptr<OpBuf> pack_da =
-      rec && track && a.requires_grad()
-          ? graph::AllocBuf(m * k, BufLife::kBwd)
-          : nullptr;
-  std::shared_ptr<OpBuf> pack_db =
-      rec && track && b.requires_grad()
-          ? graph::AllocBuf(n * m, BufLife::kBwd)
-          : nullptr;
-  auto fwd = [o = r.impl().get(), xa = a.impl().get(), xb = b.impl().get(), n,
-              k, m, flops, pack_fwd]() {
+  {
     CEWS_TRACE_SCOPE("nn.MatMul");
     const uint64_t t0 = Stopwatch::NowNs();
-    float* po = o->data.data();
-    // GemmNN accumulates; the tape allocated a zeroed output per call, so
-    // the replayed thunk re-zeroes its (possibly slot-shared) output.
-    std::fill(po, po + n * m, 0.0f);
-    gemm::GemmNN(n, m, k, xa->data.data(), k, 1, xb->data.data(), m, po, m,
-                 pack_fwd ? pack_fwd->data() : nullptr);
+    // GemmNN accumulates into the zero-filled output.
+    gemm::GemmNN(n, m, k, a.data(), k, 1, b.data(), m, r.data(), m);
     KernelMetrics& metrics = MatMulMetrics();
     metrics.calls->Increment();
-    metrics.fwd_flops->Add(flops);
+    metrics.fwd_flops->Add(2ull * static_cast<uint64_t>(n * k * m));
     metrics.fwd_ns->Add(Stopwatch::NowNs() - t0);
-  };
-  fwd();
-  graph::Record(r, {a, b}, fwd);
-  if (track) {
+  }
+  if (Tracking(r)) {
     auto o = r.impl().get();
     auto ia = a.impl();
     auto ib = b.impl();
-    r.impl()->backward_fn = [o, ia, ib, n, k, m, logical, rows, pack_da,
-                             pack_db]() {
+    r.impl()->backward_fn = [o, ia, ib, n, k, m, logical, rows]() {
       CEWS_TRACE_SCOPE("nn.MatMul.bwd");
       const uint64_t t0 = Stopwatch::NowNs();
       uint64_t bwd_flops = 0;
@@ -388,8 +310,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b, RowMapPtr rows) {
         const float* og = o->grad.data();
         const float* pb = ib->data.data();
         float* ga = ia->grad.data();
-        gemm::GemmNT(n, k, m, og, m, pb, m, ga, k,
-                     pack_da ? pack_da->data() : nullptr);
+        gemm::GemmNT(n, k, m, og, m, pb, m, ga, k);
       }
       if (ib->requires_grad) {
         bwd_flops += 2ull * static_cast<uint64_t>(logical * k * m);
@@ -398,7 +319,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b, RowMapPtr rows) {
         const float* pa = ia->data.data();
         float* gb = ib->grad.data();
         gemm::GemmNN(k, m, logical, pa, 1, k, og, m, gb, m,
-                     pack_db ? pack_db->data() : nullptr,
                      rows != nullptr ? rows->rows().data() : nullptr);
       }
       KernelMetrics& metrics = MatMulMetrics();
@@ -417,13 +337,9 @@ template <typename FwdFn, typename BwdFn>
 Tensor UnaryElementwise(const Tensor& x, FwdFn fwd_fn, BwdFn dfn) {
   Tensor r = NewResult(x.shape(), {x});
   const Index n = x.numel();
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), n, fwd_fn]() {
-    const float* px = xi->data.data();
-    float* po = o->data.data();
-    for (Index i = 0; i < n; ++i) po[i] = fwd_fn(px[i]);
-  };
-  fwd();
-  graph::Record(r, {x}, fwd);
+  const float* px = x.data();
+  float* po = r.data();
+  for (Index i = 0; i < n; ++i) po[i] = fwd_fn(px[i]);
   if (r.requires_grad()) {
     auto o = r.impl().get();
     auto ix = x.impl();
@@ -464,8 +380,6 @@ Tensor Exp(const Tensor& x) {
 }
 
 Tensor Log(const Tensor& x) {
-  // The positivity check lives inside the forward body so graph replays
-  // re-validate fresh placeholder data, not just the recording batch.
   return UnaryElementwise(
       x,
       [](float v) {
@@ -499,17 +413,12 @@ Tensor BinarySelect(const Tensor& a, const Tensor& b, PickA pick_a,
   CheckSameShape(a, b, name);
   const Index n = a.numel();
   Tensor r = NewResult(a.shape(), {a, b});
-  auto fwd = [o = r.impl().get(), xa = a.impl().get(), xb = b.impl().get(), n,
-              pick_a]() {
-    const float* pa = xa->data.data();
-    const float* pb = xb->data.data();
-    float* po = o->data.data();
-    for (Index i = 0; i < n; ++i) {
-      po[i] = pick_a(pa[i], pb[i]) ? pa[i] : pb[i];
-    }
-  };
-  fwd();
-  graph::Record(r, {a, b}, fwd);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = r.data();
+  for (Index i = 0; i < n; ++i) {
+    po[i] = pick_a(pa[i], pb[i]) ? pa[i] : pb[i];
+  }
   if (r.requires_grad()) {
     auto o = r.impl().get();
     auto ia = a.impl();
@@ -544,24 +453,20 @@ Tensor Softmax(const Tensor& x) {
   const Index d = x.dim(-1);
   const Index rows = x.numel() / d;
   Tensor r = NewResult(x.shape(), {x});
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), rows, d]() {
-    const float* px = xi->data.data();
-    float* po = o->data.data();
-    for (Index r = 0; r < rows; ++r) {
-      const float* row = px + r * d;
-      float mx = row[0];
-      for (Index j = 1; j < d; ++j) mx = std::max(mx, row[j]);
-      float sum = 0.0f;
-      for (Index j = 0; j < d; ++j) {
-        const float e = std::exp(row[j] - mx);
-        po[r * d + j] = e;
-        sum += e;
-      }
-      for (Index j = 0; j < d; ++j) po[r * d + j] /= sum;
+  const float* px = x.data();
+  float* po = r.data();
+  for (Index i = 0; i < rows; ++i) {
+    const float* row = px + i * d;
+    float mx = row[0];
+    for (Index j = 1; j < d; ++j) mx = std::max(mx, row[j]);
+    float sum = 0.0f;
+    for (Index j = 0; j < d; ++j) {
+      const float e = std::exp(row[j] - mx);
+      po[i * d + j] = e;
+      sum += e;
     }
-  };
-  fwd();
-  graph::Record(r, {x}, fwd);
+    for (Index j = 0; j < d; ++j) po[i * d + j] /= sum;
+  }
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ix = x.impl();
@@ -586,21 +491,17 @@ Tensor LogSoftmax(const Tensor& x) {
   const Index d = x.dim(-1);
   const Index rows = x.numel() / d;
   Tensor r = NewResult(x.shape(), {x});
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), rows, d]() {
-    const float* px = xi->data.data();
-    float* po = o->data.data();
-    for (Index r = 0; r < rows; ++r) {
-      const float* row = px + r * d;
-      float mx = row[0];
-      for (Index j = 1; j < d; ++j) mx = std::max(mx, row[j]);
-      float sum = 0.0f;
-      for (Index j = 0; j < d; ++j) sum += std::exp(row[j] - mx);
-      const float lse = mx + std::log(sum);
-      for (Index j = 0; j < d; ++j) po[r * d + j] = row[j] - lse;
-    }
-  };
-  fwd();
-  graph::Record(r, {x}, fwd);
+  const float* px = x.data();
+  float* po = r.data();
+  for (Index i = 0; i < rows; ++i) {
+    const float* row = px + i * d;
+    float mx = row[0];
+    for (Index j = 1; j < d; ++j) mx = std::max(mx, row[j]);
+    float sum = 0.0f;
+    for (Index j = 0; j < d; ++j) sum += std::exp(row[j] - mx);
+    const float lse = mx + std::log(sum);
+    for (Index j = 0; j < d; ++j) po[i * d + j] = row[j] - lse;
+  }
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ix = x.impl();
@@ -625,14 +526,10 @@ Tensor LogSoftmax(const Tensor& x) {
 Tensor Sum(const Tensor& x) {
   const Index n = x.numel();
   Tensor r = NewResult({}, {x});
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), n]() {
-    double acc = 0.0;
-    const float* px = xi->data.data();
-    for (Index i = 0; i < n; ++i) acc += px[i];
-    o->data[0] = static_cast<float>(acc);
-  };
-  fwd();
-  graph::Record(r, {x}, fwd);
+  double acc = 0.0;
+  const float* px = x.data();
+  for (Index i = 0; i < n; ++i) acc += px[i];
+  r.data()[0] = static_cast<float>(acc);
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ix = x.impl();
@@ -650,14 +547,10 @@ Tensor Mean(const Tensor& x) {
   const Index n = x.numel();
   const float inv_n = 1.0f / static_cast<float>(n);
   Tensor r = NewResult({}, {x});
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), n, inv_n]() {
-    double acc = 0.0;
-    const float* px = xi->data.data();
-    for (Index i = 0; i < n; ++i) acc += px[i];
-    o->data[0] = static_cast<float>(acc) * inv_n;
-  };
-  fwd();
-  graph::Record(r, {x}, fwd);
+  double acc = 0.0;
+  const float* px = x.data();
+  for (Index i = 0; i < n; ++i) acc += px[i];
+  r.data()[0] = static_cast<float>(acc) * inv_n;
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ix = x.impl();
@@ -676,17 +569,13 @@ Tensor SumLastDim(const Tensor& x) {
   const Index rows = x.numel() / d;
   Shape out_shape(x.shape().begin(), x.shape().end() - 1);
   Tensor r = NewResult(std::move(out_shape), {x});
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), rows, d]() {
-    const float* px = xi->data.data();
-    float* po = o->data.data();
-    for (Index r = 0; r < rows; ++r) {
-      double acc = 0.0;
-      for (Index j = 0; j < d; ++j) acc += px[r * d + j];
-      po[r] = static_cast<float>(acc);
-    }
-  };
-  fwd();
-  graph::Record(r, {x}, fwd);
+  const float* px = x.data();
+  float* po = r.data();
+  for (Index i = 0; i < rows; ++i) {
+    double acc = 0.0;
+    for (Index j = 0; j < d; ++j) acc += px[i * d + j];
+    po[i] = static_cast<float>(acc);
+  }
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ix = x.impl();
@@ -703,13 +592,8 @@ Tensor SumLastDim(const Tensor& x) {
 
 Tensor Reshape(const Tensor& x, const Shape& shape) {
   CEWS_CHECK_EQ(NumElements(shape), x.numel());
-  const Index n = x.numel();
   Tensor r = NewResult(shape, {x});
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), n]() {
-    std::copy(xi->data.data(), xi->data.data() + n, o->data.data());
-  };
-  fwd();
-  graph::Record(r, {x}, fwd);
+  std::copy(x.data(), x.data() + x.numel(), r.data());
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ix = x.impl();
@@ -730,19 +614,14 @@ Tensor Concat(const Tensor& a, const Tensor& b) {
   Shape out_shape = a.shape();
   out_shape.back() = da + db;
   Tensor r = NewResult(std::move(out_shape), {a, b});
-  auto fwd = [o = r.impl().get(), xa = a.impl().get(), xb = b.impl().get(),
-              rows, da, db]() {
-    const float* pa = xa->data.data();
-    const float* pb = xb->data.data();
-    float* po = o->data.data();
-    for (Index r = 0; r < rows; ++r) {
-      float* orow = po + r * (da + db);
-      for (Index j = 0; j < da; ++j) orow[j] = pa[r * da + j];
-      for (Index j = 0; j < db; ++j) orow[da + j] = pb[r * db + j];
-    }
-  };
-  fwd();
-  graph::Record(r, {a, b}, fwd);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = r.data();
+  for (Index i = 0; i < rows; ++i) {
+    float* orow = po + i * (da + db);
+    for (Index j = 0; j < da; ++j) orow[j] = pa[i * da + j];
+    for (Index j = 0; j < db; ++j) orow[da + j] = pb[i * db + j];
+  }
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ia = a.impl();
@@ -764,61 +643,33 @@ Tensor Concat(const Tensor& a, const Tensor& b) {
   return r;
 }
 
-namespace {
-
-/// Shared body of both GatherLastDim overloads: `idx` is a stable handle
-/// whose contents the forward re-reads (and re-validates) on every run.
-Tensor GatherLastDimImpl(const Tensor& x,
-                         std::shared_ptr<const std::vector<Index>> idx) {
+Tensor GatherLastDim(const Tensor& x, const std::vector<Index>& idx) {
   CEWS_CHECK_GE(x.ndim(), 1);
-  CEWS_CHECK(idx != nullptr);
   const Index d = x.dim(-1);
   const Index rows = x.numel() / d;
+  CEWS_CHECK_EQ(static_cast<Index>(idx.size()), rows)
+      << "GatherLastDim: one index per row";
   Shape out_shape(x.shape().begin(), x.shape().end() - 1);
   Tensor r = NewResult(std::move(out_shape), {x});
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), idx, rows, d]() {
-    CEWS_CHECK_EQ(static_cast<Index>(idx->size()), rows)
-        << "GatherLastDim: index count changed between replays";
-    const float* px = xi->data.data();
-    float* po = o->data.data();
-    for (Index r = 0; r < rows; ++r) {
-      const Index j = (*idx)[static_cast<size_t>(r)];
-      CEWS_CHECK_GE(j, 0);
-      CEWS_CHECK_LT(j, d);
-      po[r] = px[r * d + j];
-    }
-  };
-  fwd();
-  graph::Record(r, {x}, fwd);
+  const float* px = x.data();
+  float* po = r.data();
+  for (Index i = 0; i < rows; ++i) {
+    const Index j = idx[static_cast<size_t>(i)];
+    CEWS_CHECK_GE(j, 0);
+    CEWS_CHECK_LT(j, d);
+    po[i] = px[i * d + j];
+  }
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto ix = x.impl();
     r.impl()->backward_fn = [o, ix, idx, d]() {
       ix->EnsureGrad();
-      for (size_t row = 0; row < idx->size(); ++row) {
-        ix->grad[static_cast<Index>(row) * d + (*idx)[row]] += o->grad[row];
+      for (size_t row = 0; row < idx.size(); ++row) {
+        ix->grad[static_cast<Index>(row) * d + idx[row]] += o->grad[row];
       }
     };
   }
   return r;
-}
-
-}  // namespace
-
-Tensor GatherLastDim(const Tensor& x, const std::vector<Index>& idx) {
-  return GatherLastDimImpl(
-      x, std::make_shared<const std::vector<Index>>(idx));
-}
-
-Tensor GatherLastDim(const Tensor& x,
-                     std::shared_ptr<const std::vector<Index>> idx) {
-  return GatherLastDimImpl(x, std::move(idx));
-}
-
-Tensor Checkpoint(const Tensor& t) {
-  CEWS_CHECK(t.defined());
-  if (graph::Recording()) graph::MarkBoundary(t);
-  return t;
 }
 
 std::shared_ptr<const RowMap> RowMap::Number(const std::vector<Index>& keys) {
@@ -861,70 +712,56 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   const uint64_t conv_flops =
       2ull * static_cast<uint64_t>(s.n * s.oc * s.ck2() * s.ohow());
 
-  const bool rec = graph::Recording();
   Tensor r = NewResult({s.n, s.oc, s.oh, s.ow}, {x, w, bias});
   const bool track = Tracking(r);
   const bool need_dx = track && x.requires_grad();
   const bool need_dw = track && w.requires_grad();
   const bool need_db = track && bias.defined() && bias.requires_grad();
 
-  // Scratch is planner-managed in graph mode and comes from the workspace in
-  // eager mode. The padded input copy is written by forward and, when dW is
-  // wanted, read again by backward.
-  const Index pad_floats = s.PaddedFloats();
-  auto xpad = rec ? graph::AllocBuf(pad_floats,
-                                    need_dw ? BufLife::kSpan : BufLife::kFwd)
-                  : graph::LocalBuf(pad_floats);
-  std::shared_ptr<OpBuf> fwd_buf =
-      rec ? graph::AllocBuf(s.ForwardScratchFloats(), BufLife::kFwd) : nullptr;
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), wi = w.impl().get(),
-              bi = bias.defined() ? bias.impl().get() : nullptr, plan, xpad,
-              fwd_buf, conv_flops]() {
+  // The padded input copy is written by forward and, when dW is wanted,
+  // read again by backward.
+  auto xpad = std::make_shared<ScopedVec>(s.PaddedFloats());
+  {
     CEWS_TRACE_SCOPE("nn.Conv2d");
     const uint64_t t0 = Stopwatch::NowNs();
-    ScopedVec local(fwd_buf ? 0 : plan->ForwardScratchFloats());
-    conv::Forward(*plan, xi->data.data(), wi->data.data(),
-                  bi != nullptr ? bi->data.data() : nullptr, xpad->data(),
-                  fwd_buf ? fwd_buf->data() : local.data(), o->data.data());
+    ScopedVec scratch(s.ForwardScratchFloats());
+    conv::Forward(s, x.data(), w.data(),
+                  bias.defined() ? bias.data() : nullptr, xpad->data(),
+                  scratch.data(), r.data());
     KernelMetrics& metrics = Conv2dMetrics();
     metrics.calls->Increment();
     metrics.fwd_flops->Add(conv_flops);
     metrics.fwd_ns->Add(Stopwatch::NowNs() - t0);
-  };
-  fwd();
-  graph::Record(r, {x, w, bias}, fwd);
+  }
   if (!track) return r;
 
   const Index dw_floats =
       need_dw || need_db ? s.WeightGradScratchFloats() : 0;
   const Index bwd_floats =
       dw_floats + (need_dx ? s.InputGradScratchFloats() : 0);
-  std::shared_ptr<OpBuf> bwd_buf =
-      rec ? graph::AllocBuf(bwd_floats, BufLife::kBwd) : nullptr;
-  std::shared_ptr<OpBuf> xpad_bwd = need_dw ? xpad : nullptr;
+  if (!need_dw) xpad.reset();
   r.impl()->backward_fn = [o = r.impl().get(), ix = x.impl(), iw = w.impl(),
                            ib = bias.defined() ? bias.impl()
                                                : std::shared_ptr<TensorImpl>(),
-                           plan, xpad_bwd, bwd_buf, dw_floats, bwd_floats,
-                           need_dx, need_dw, need_db, conv_flops]() {
+                           plan, xpad, dw_floats, bwd_floats, need_dx,
+                           need_dw, need_db, conv_flops]() {
     CEWS_TRACE_SCOPE("nn.Conv2d.bwd");
     const uint64_t t0 = Stopwatch::NowNs();
-    ScopedVec local(bwd_buf ? 0 : bwd_floats);
-    float* scratch = bwd_buf ? bwd_buf->data() : local.data();
+    ScopedVec scratch(bwd_floats);
     const float* dy = o->grad.data();
     uint64_t bwd_flops = 0;
     if (need_dw || need_db) {
       if (need_dw) iw->EnsureGrad();
       if (need_db) ib->EnsureGrad();
-      conv::WeightGrad(*plan, need_dw ? xpad_bwd->data() : nullptr, dy,
+      conv::WeightGrad(*plan, need_dw ? xpad->data() : nullptr, dy,
                        need_dw ? iw->grad.data() : nullptr,
-                       need_db ? ib->grad.data() : nullptr, scratch);
+                       need_db ? ib->grad.data() : nullptr, scratch.data());
       if (need_dw) bwd_flops += conv_flops;
     }
     if (need_dx) {
       ix->EnsureGrad();
       conv::InputGrad(*plan, iw->data.data(), dy, ix->grad.data(),
-                      scratch + dw_floats);
+                      scratch.data() + dw_floats);
       bwd_flops += conv_flops;
     }
     KernelMetrics& metrics = Conv2dMetrics();
@@ -943,7 +780,6 @@ Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
   CEWS_CHECK_EQ(gamma.numel(), f);
   CEWS_CHECK_EQ(beta.numel(), f);
   CheckRowMap(rows, n, "LayerNormReluOp");
-  const bool rec = graph::Recording();
   Tensor r = NewResult(x.shape(), {x, gamma, beta});
   const bool track = Tracking(r);
   const bool need_dx = track && x.requires_grad();
@@ -957,37 +793,28 @@ Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
   const uint64_t fwd_flops = 8 * elems;
   const uint64_t bwd_flops =
       elems * (4 + (need_dg ? 2 : 0) + (need_db ? 1 : 0) + (need_dx ? 9 : 0));
-  // The per-row statistics are written by forward and read by backward:
-  // planner-managed (kSpan) in graph mode, workspace-backed in eager mode.
-  const Index stat_floats = layer_norm::StatsFloats(n);
-  auto stats =
-      rec ? graph::AllocBuf(stat_floats, track ? BufLife::kSpan : BufLife::kFwd)
-          : graph::LocalBuf(stat_floats);
-  auto fwd = [o = r.impl().get(), xi = x.impl().get(), gi = gamma.impl().get(),
-              bi = beta.impl().get(), n, f, eps, stats, fwd_flops]() {
+  // The per-row statistics are written by forward and read by backward.
+  auto stats = std::make_shared<ScopedVec>(layer_norm::StatsFloats(n));
+  {
     CEWS_TRACE_SCOPE("nn.LayerNormRelu");
     const uint64_t t0 = Stopwatch::NowNs();
-    layer_norm::Forward(n, f, eps, xi->data.data(), gi->data.data(),
-                        bi->data.data(), stats->data(), o->data.data());
+    layer_norm::Forward(n, f, eps, x.data(), gamma.data(), beta.data(),
+                        stats->data(), r.data());
     KernelMetrics& metrics = LayerNormMetrics();
     metrics.calls->Increment();
     metrics.fwd_flops->Add(fwd_flops);
     metrics.fwd_ns->Add(Stopwatch::NowNs() - t0);
-  };
-  fwd();
-  graph::Record(r, {x, gamma, beta}, fwd);
+  }
   if (!track) return r;
 
   const Index bwd_floats =
       layer_norm::BackwardScratchFloats(n, f, rows != nullptr);
-  std::shared_ptr<OpBuf> bwd_buf =
-      rec ? graph::AllocBuf(bwd_floats, BufLife::kBwd) : nullptr;
   r.impl()->backward_fn = [o = r.impl().get(), ix = x.impl(), ig = gamma.impl(),
-                           ib = beta.impl(), n, f, stats, bwd_buf, bwd_floats,
-                           rows, need_dx, need_dg, need_db, bwd_flops]() {
+                           ib = beta.impl(), n, f, stats, bwd_floats, rows,
+                           need_dx, need_dg, need_db, bwd_flops]() {
     CEWS_TRACE_SCOPE("nn.LayerNormRelu.bwd");
     const uint64_t t0 = Stopwatch::NowNs();
-    ScopedVec local(bwd_buf ? 0 : bwd_floats);
+    ScopedVec local(bwd_floats);
     if (need_dx) ix->EnsureGrad();
     if (need_dg) ig->EnsureGrad();
     if (need_db) ib->EnsureGrad();
@@ -996,7 +823,7 @@ Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
                          need_dx ? ix->grad.data() : nullptr,
                          need_dg ? ig->grad.data() : nullptr,
                          need_db ? ib->grad.data() : nullptr,
-                         bwd_buf ? bwd_buf->data() : local.data(),
+                         local.data(),
                          rows != nullptr ? &rows->rows() : nullptr);
     KernelMetrics& metrics = LayerNormMetrics();
     metrics.bwd_flops->Add(bwd_flops);
@@ -1047,32 +874,23 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<Index>& ids) {
   const Index v = table.dim(0), d = table.dim(1);
   const Index n = static_cast<Index>(ids.size());
   Tensor r = NewResult({n, d}, {table});
-  // The id list is captured by value: a recorded lookup replays the same
-  // rows (graph callers run data-dependent lookups outside the recording).
-  auto indices = std::make_shared<const std::vector<Index>>(ids);
-  auto fwd = [o = r.impl().get(), ti = table.impl().get(), indices, v, d,
-              n]() {
-    const float* pt = ti->data.data();
-    float* po = o->data.data();
-    for (Index i = 0; i < n; ++i) {
-      const Index id = (*indices)[static_cast<size_t>(i)];
-      CEWS_CHECK_GE(id, 0);
-      CEWS_CHECK_LT(id, v);
-      const float* row = pt + id * d;
-      for (Index j = 0; j < d; ++j) po[i * d + j] = row[j];
-    }
-  };
-  fwd();
-  graph::Record(r, {table}, fwd);
+  const float* pt = table.data();
+  float* po = r.data();
+  for (Index i = 0; i < n; ++i) {
+    const Index id = ids[static_cast<size_t>(i)];
+    CEWS_CHECK_GE(id, 0);
+    CEWS_CHECK_LT(id, v);
+    const float* row = pt + id * d;
+    for (Index j = 0; j < d; ++j) po[i * d + j] = row[j];
+  }
   if (Tracking(r)) {
     auto o = r.impl().get();
     auto it = table.impl();
-    r.impl()->backward_fn = [o, it, indices, d]() {
+    r.impl()->backward_fn = [o, it, ids, d]() {
       it->EnsureGrad();
-      for (size_t i = 0; i < indices->size(); ++i) {
+      for (size_t i = 0; i < ids.size(); ++i) {
         for (Index j = 0; j < d; ++j) {
-          it->grad[(*indices)[i] * d + j] +=
-              o->grad[static_cast<Index>(i) * d + j];
+          it->grad[ids[i] * d + j] += o->grad[static_cast<Index>(i) * d + j];
         }
       }
     };

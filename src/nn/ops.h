@@ -81,18 +81,6 @@ Tensor Concat(const Tensor& a, const Tensor& b);
 /// per leading row -> shape [...]. Used for log-prob lookup of taken actions.
 Tensor GatherLastDim(const Tensor& x, const std::vector<Index>& idx);
 
-/// GatherLastDim whose indices live behind a shared handle the caller may
-/// rewrite (same length, in-range) between graph replays — the expression
-/// graph's index-input mechanism. Bounds are re-CHECKed on every replay.
-Tensor GatherLastDim(const Tensor& x,
-                     std::shared_ptr<const std::vector<Index>> idx);
-
-/// Gradient-checkpoint marker (nn/graph.h): inside a graph recording, marks
-/// the step producing `t` as a segment boundary — with CEWS_NN_CKPT=1 the
-/// segment before it is dropped after forward and recomputed during
-/// backward. Identity (returns `t` unchanged) in every mode.
-Tensor Checkpoint(const Tensor& t);
-
 /// Row maps: a batch that repeats rows, run once per distinct row.
 ///
 /// A PPO minibatch drawn with replacement holds a transition as often as it
@@ -123,9 +111,8 @@ Tensor Checkpoint(const Tensor& t);
 ///    after it is row-wise, as the PPO loss on the policy's head outputs
 ///    is; the equality is what makes the replay exact, and the CHECK stops
 ///    a cross-row loss from silently getting a wrong gradient.
-/// Row maps are tape-only: under a graph recording (nn/graph.h) the ops
-/// CHECK that none is passed. A map without repeats (the identity) runs the
-/// same code; callers pass none when nothing repeats.
+/// A map without repeats (the identity) runs the same code; callers pass
+/// none when nothing repeats.
 class RowMap {
  public:
   /// Numbers `keys` by first occurrence: logical row i reads the distinct

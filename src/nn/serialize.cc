@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/crc32.h"
 
@@ -33,10 +34,19 @@ class ByteReader {
   ByteReader(const char* data, size_t size) : data_(data), size_(size) {}
 
   bool Read(void* dst, size_t n) {
-    if (size_ - pos_ < n) return false;
-    std::memcpy(dst, data_ + pos_, n);
-    pos_ += n;
+    const char* p = Skip(n);
+    if (p == nullptr) return false;
+    std::memcpy(dst, p, n);
     return true;
+  }
+
+  /// Steps over the next `n` bytes and returns where they start, or nullptr
+  /// (without moving) when fewer remain.
+  const char* Skip(size_t n) {
+    if (size_ - pos_ < n) return nullptr;
+    const char* p = data_ + pos_;
+    pos_ += n;
+    return p;
   }
 
   size_t remaining() const { return size_ - pos_; }
@@ -151,6 +161,11 @@ Status LoadParameters(const std::string& path,
                                    std::to_string(count) + " vs " +
                                    std::to_string(params.size()) + ")");
   }
+  // First pass: every header, size and the trailing-byte count is checked
+  // before any parameter is written, so a rejected file leaves the model as
+  // it was.
+  std::vector<const char*> payloads;
+  payloads.reserve(params.size());
   for (const Tensor& param : params) {
     uint64_t ndim = 0;
     if (!reader.Read(&ndim, sizeof(ndim))) {
@@ -181,16 +196,23 @@ Status LoadParameters(const std::string& path,
     }
     // shape == param.shape(), so the byte count is bounded by the model,
     // never by untrusted header fields; a short file fails here cleanly.
-    Tensor t = param;
-    if (!reader.Read(t.data(),
-                     sizeof(float) * static_cast<size_t>(t.numel()))) {
+    const char* payload =
+        reader.Skip(sizeof(float) * static_cast<size_t>(param.numel()));
+    if (payload == nullptr) {
       return Status::IOError(path + ": truncated data");
     }
+    payloads.push_back(payload);
   }
   if (reader.remaining() != 0) {
     return Status::InvalidArgument(
         path + ": " + std::to_string(reader.remaining()) +
         " trailing bytes after the last tensor");
+  }
+  // Second pass: the file is valid, copy it in.
+  for (size_t i = 0; i < params.size(); ++i) {
+    Tensor t = params[i];
+    std::memcpy(t.data(), payloads[i],
+                sizeof(float) * static_cast<size_t>(t.numel()));
   }
   return Status::OK();
 }

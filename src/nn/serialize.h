@@ -42,7 +42,9 @@ struct LoadOptions {
 };
 
 /// Loads a checkpoint written by SaveParameters into the given parameter
-/// list. Shapes must match exactly (same architecture).
+/// list. Shapes must match exactly (same architecture). Nothing is written
+/// unless the whole file is valid: a rejected file leaves every parameter
+/// as it was.
 ///
 /// When the CRC32 footer is present it is verified before any tensor is
 /// touched; legacy footer-less "CEWSPAR1" files are still accepted (no

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "nn/graph.h"
 #include "nn/workspace.h"
 
 namespace cews::nn {
@@ -43,8 +42,8 @@ std::string ShapeToString(const Shape& shape) {
 TensorImpl::TensorImpl() : seq(++g_next_seq) {}
 
 TensorImpl::~TensorImpl() {
-  Workspace::Recycle(data.TakeOwned());
-  Workspace::Recycle(grad.TakeOwned());
+  Workspace::Recycle(std::move(data));
+  Workspace::Recycle(std::move(grad));
 }
 
 void TensorImpl::EnsureGrad() {
@@ -145,7 +144,7 @@ float Tensor::at(std::initializer_list<Index> idx) const {
 
 std::vector<float> Tensor::ToVector() const {
   CEWS_CHECK(defined());
-  return std::vector<float>(impl_->data.begin(), impl_->data.end());
+  return impl_->data;
 }
 
 void Tensor::ZeroGrad() {
@@ -153,7 +152,7 @@ void Tensor::ZeroGrad() {
   if (impl_->grad.size() == impl_->data.size()) {
     std::fill(impl_->grad.begin(), impl_->grad.end(), 0.0f);  // no realloc
   } else {
-    Workspace::Recycle(impl_->grad.TakeOwned());
+    Workspace::Recycle(std::move(impl_->grad));
     impl_->grad = Workspace::AcquireVec(static_cast<Index>(impl_->data.size()));
   }
 }
@@ -162,8 +161,7 @@ Tensor Tensor::Detach() const {
   CEWS_CHECK(defined());
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = impl_->shape;
-  // Value copy; detached view is fine at our scale.
-  impl->data = std::vector<float>(impl_->data.begin(), impl_->data.end());
+  impl->data = impl_->data;  // value copy; detached view is fine at our scale
   impl->requires_grad = false;
   return Tensor(std::move(impl));
 }
@@ -173,18 +171,9 @@ Tensor Tensor::Clone() const { return Detach(); }
 void Tensor::Backward() {
   CEWS_CHECK(defined());
   CEWS_CHECK_EQ(numel(), 1) << "Backward() requires a scalar loss";
-  if (impl_->graph_exec != nullptr) {
-    // Compiled-graph root: the executor owns ordering, interior-grad zeroing
-    // and (when enabled) segment recomputation.
-    impl_->graph_exec->Backward();
-    return;
-  }
-  CEWS_CHECK(!graph::Recording())
-      << "Backward() inside an active graph recording: finish the recording "
-         "(EndRecording) and backpropagate through the compiled graph";
   CEWS_CHECK(!impl_->backward_done)
       << "double Backward() on the same tape root: gradients would "
-         "double-accumulate; rebuild the loss (or replay its graph) first";
+         "double-accumulate; rebuild the loss first";
   impl_->backward_done = true;
   // Collect every node reachable through tape edges.
   std::vector<TensorImpl*> nodes;
@@ -201,9 +190,8 @@ void Tensor::Backward() {
     }
   }
   // Descending creation order is a valid reverse topological order (an op's
-  // inputs always predate its output) and is the one canonical backward
-  // order shared with graph replay and checkpointed replay, so all three
-  // accumulate shared-parent gradients in the same sequence.
+  // inputs always predate its output), and it fixes the sequence in which
+  // shared parents accumulate their gradients.
   std::sort(nodes.begin(), nodes.end(),
             [](const TensorImpl* a, const TensorImpl* b) {
               return a->seq > b->seq;

@@ -1,15 +1,9 @@
 // Dense float tensor with reverse-mode automatic differentiation.
 //
 // This is the substrate that replaces TensorFlow/PyTorch for the paper's
-// networks. Two execution modes share the same op layer (ops.h):
-//  * Tape (default): every op runs eagerly and records a backward closure on
-//    the tensor it produces; Tensor::Backward() runs the tape in reverse
-//    creation order.
-//  * Expression graph (CEWS_NN_GRAPH=1, nn/graph.h): while a graph recording
-//    is active each op additionally registers its forward thunk, so the
-//    whole forward DAG can be replayed against new placeholder inputs
-//    without rebuilding a single node, with all intermediates living at
-//    planner-assigned offsets in one graph-owned arena.
+// networks. Every op (ops.h) runs eagerly and records a backward closure on
+// the tensor it produces; Tensor::Backward() runs that tape in reverse
+// creation order.
 //
 // Design notes:
 //  * Tensor is a cheap value-semantics handle (shared_ptr to TensorImpl).
@@ -17,11 +11,9 @@
 //    contributions; call ZeroGrad()/Optimizer::ZeroGrad() between steps.
 //  * Backward() runs closures in descending creation order (a valid reverse
 //    topological order, since every op's inputs exist before its output).
-//    The graph executor uses the same order, segment by segment, which is
-//    what makes tape, graph replay and checkpointed replay bitwise-identical.
 //  * Tape construction is gated by a thread-local grad mode (NoGradGuard),
 //    so rollout-time forwards pay no tape cost. Each employee thread builds
-//    its own graphs; there is no cross-thread sharing of TensorImpl.
+//    its own tapes; there is no cross-thread sharing of TensorImpl.
 #ifndef CEWS_NN_TENSOR_H_
 #define CEWS_NN_TENSOR_H_
 
@@ -33,10 +25,6 @@
 #include <vector>
 
 namespace cews::nn {
-
-namespace graph {
-class CompiledGraph;
-}  // namespace graph
 
 /// Index/extent type for tensor dimensions.
 using Index = int64_t;
@@ -64,64 +52,6 @@ class NoGradGuard {
 
  private:
   bool previous_;
-};
-
-/// Float storage that is either owned (a recyclable std::vector, the tape
-/// default) or a view into externally planned memory (the expression graph's
-/// arena). Presents the vector-ish surface the op kernels index into.
-class Buffer {
- public:
-  Buffer() = default;
-
-  /// Adopts `v` as owned storage (workspace-recyclable on release).
-  Buffer& operator=(std::vector<float>&& v) {
-    owned_ = std::move(v);
-    ptr_ = owned_.data();
-    size_ = owned_.size();
-    keepalive_.reset();
-    return *this;
-  }
-
-  /// Re-points this buffer at `n` floats of externally owned memory;
-  /// `keepalive` pins that memory for this buffer's lifetime. Any owned
-  /// storage is released to the caller for recycling.
-  std::vector<float> BindExternal(float* p, size_t n,
-                                  std::shared_ptr<void> keepalive) {
-    std::vector<float> released = std::move(owned_);
-    owned_.clear();
-    ptr_ = p;
-    size_ = n;
-    keepalive_ = std::move(keepalive);
-    return released;
-  }
-
-  /// Detaches and returns owned storage (empty when external/empty).
-  std::vector<float> TakeOwned() {
-    std::vector<float> out = std::move(owned_);
-    owned_.clear();
-    ptr_ = nullptr;
-    size_ = 0;
-    keepalive_.reset();
-    return out;
-  }
-
-  bool external() const { return ptr_ != nullptr && owned_.empty(); }
-  float* data() { return ptr_; }
-  const float* data() const { return ptr_; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  float& operator[](size_t i) { return ptr_[i]; }
-  float operator[](size_t i) const { return ptr_[i]; }
-  float* begin() { return ptr_; }
-  float* end() { return ptr_ + size_; }
-  const float* begin() const { return ptr_; }
-  const float* end() const { return ptr_ + size_; }
-
- private:
-  std::vector<float> owned_;
-  float* ptr_ = nullptr;
-  size_t size_ = 0;
-  std::shared_ptr<void> keepalive_;  // arena pin while external
 };
 
 struct TensorImpl;
@@ -180,9 +110,7 @@ class Tensor {
   /// Runs reverse-mode autodiff from this tensor, which must be a scalar.
   /// Gradients accumulate into every reachable tensor with requires_grad.
   /// A second Backward() on the same tape root is a hard CHECK failure
-  /// (silent double-accumulation is never what the caller wants); graph
-  /// roots delegate to CompiledGraph::Backward, which enforces one backward
-  /// per replayed forward.
+  /// (silent double-accumulation is never what the caller wants).
   void Backward();
 
   /// Zeroes this tensor's gradient buffer (allocating it if absent).
@@ -205,25 +133,17 @@ class Tensor {
 /// construct nodes directly; user code should stick to Tensor.
 struct TensorImpl {
   Shape shape;
-  Buffer data;
-  Buffer grad;  // empty until needed; same size as data
+  std::vector<float> data;
+  std::vector<float> grad;  // empty until needed; same size as data
   bool requires_grad = false;
 
-  /// Monotone per-thread creation stamp; Backward() and the graph executor
-  /// order closures by it (descending = reverse topological).
+  /// Monotone per-thread creation stamp; Backward() orders closures by it
+  /// (descending = reverse topological).
   uint64_t seq = 0;
 
-  /// Set by the first tape Backward() whose root this node is; a second
+  /// Set by the first Backward() whose root this node is; a second
   /// Backward() on the same root CHECK-fails.
   bool backward_done = false;
-
-  /// Graph-input marker (nn/graph.h): the caller rewrites this leaf's data
-  /// before each replay, so it is never treated as a memoizable constant.
-  bool placeholder = false;
-
-  /// Set on a compiled graph's root: Backward() delegates to the graph
-  /// executor. Raw pointer — the graph owns the root, never the reverse.
-  graph::CompiledGraph* graph_exec = nullptr;
 
   /// Accumulates into parents' grads, reading this node's grad. Only set on
   /// interior nodes produced while GradModeEnabled().
@@ -233,9 +153,8 @@ struct TensorImpl {
   std::vector<std::shared_ptr<TensorImpl>> parents;
 
   TensorImpl();
-  /// Recycles owned data/grad storage into the per-thread workspace arena
+  /// Recycles data/grad storage into the per-thread workspace arena
   /// (nn/workspace.h), so the next step's ops reuse it allocation-free.
-  /// Arena-bound storage is left to the graph that planned it.
   ~TensorImpl();
   TensorImpl(const TensorImpl&) = delete;
   TensorImpl& operator=(const TensorImpl&) = delete;

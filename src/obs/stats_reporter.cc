@@ -124,26 +124,6 @@ std::string StatsReporter::FormatHeartbeat(const MetricsSnapshot& prev,
     line += buf;
   }
 
-  // Expression-graph backend (CEWS_NN_GRAPH=1): replay rate, shape-cache
-  // hit ratio and the largest planned activation arena. Gated on any
-  // compiled-graph call having happened — tape-mode runs keep the old line.
-  if (cur.CounterValue("nn.graph.calls") > 0) {
-    const uint64_t replays =
-        cur.CounterValue("nn.graph.calls") - prev.CounterValue("nn.graph.calls");
-    const uint64_t hits = cur.CounterValue("nn.graph.cache_hits");
-    const uint64_t misses = cur.CounterValue("nn.graph.cache_misses");
-    const double hit_pct =
-        hits + misses > 0
-            ? 100.0 * static_cast<double>(hits) /
-                  static_cast<double>(hits + misses)
-            : 0.0;
-    std::snprintf(buf, sizeof(buf),
-                  " | graph %s replay/s hit %.0f%% arena %.1fMB",
-                  FmtRate(static_cast<double>(replays) / dt).c_str(), hit_pct,
-                  cur.GaugeValue("nn.graph.peak_arena_bytes") * 1e-6);
-    line += buf;
-  }
-
   // Pool utilization: lane-busy nanoseconds per wall-second per lane.
   const double pool_threads = cur.GaugeValue("threadpool.threads");
   if (pool_threads > 0.0) {

@@ -3,9 +3,9 @@
 // Two independent references compute y, dW, db and dX for a grid of
 // geometries: a plain loop nest that spells out each element's float
 // operation sequence, and the im2col + gemm::reference lowering Conv2d used
-// before its direct kernels. The op must match both byte for byte — at pool
-// sizes 1 and 4, eagerly and under a graph recording with a replay — so a
-// training checkpoint cannot move when the kernels change.
+// before its direct kernels. The op must match both byte for byte at pool
+// sizes 1 and 4, so a training checkpoint cannot move when the kernels
+// change.
 //
 // Inputs carry exact zeros (both signs) in x and the upstream gradient, and
 // -0.0f in the bias, where a skipped or reordered zero product would flip a
@@ -22,7 +22,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nn/gemm.h"
-#include "nn/graph.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 
@@ -315,41 +314,24 @@ Result RunReference(const Geometry& g, const Inputs& in, Pass pass) {
 }
 
 // ---------------------------------------------------------------------------
-// The op, eagerly or recorded + replayed.
+// The op.
 // ---------------------------------------------------------------------------
 
 std::vector<float> Copy(const float* p, Index n) {
   return p == nullptr ? std::vector<float>() : std::vector<float>(p, p + n);
 }
 
-Result RunOp(const Geometry& g, const Inputs& in, bool graph_mode) {
+Result RunOp(const Geometry& g, const Inputs& in) {
   Tensor x = Tensor::FromData({g.n, g.c, g.h, g.w}, in.x[0], true);
   Tensor w = Tensor::FromData({g.oc, g.c, g.k, g.k}, in.w, true);
   Tensor b = g.bias ? Tensor::FromData({g.oc}, in.b, true) : Tensor();
   Tensor gy = Tensor::FromData({g.n, g.oc, g.oh(), g.ow()}, in.dy);
   Result r;
-  if (graph_mode) {
-    graph::BeginRecording();
-    graph::MarkPlaceholder(x);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::copy(in.x[pass].begin(), in.x[pass].end(), x.data());
     Tensor y = Conv2d(x, w, b, g.stride, g.padding);
-    graph::Retain(y);
-    Tensor loss = Sum(Mul(y, gy));
-    graph::GraphPtr compiled = graph::EndRecording(loss);
-    for (int pass = 0; pass < 2; ++pass) {
-      if (pass == 1) {
-        std::copy(in.x[1].begin(), in.x[1].end(), x.data());
-        compiled->Forward();
-      }
-      r.y[pass] = Copy(y.data(), y.numel());
-      loss.Backward();
-    }
-  } else {
-    for (int pass = 0; pass < 2; ++pass) {
-      std::copy(in.x[pass].begin(), in.x[pass].end(), x.data());
-      Tensor y = Conv2d(x, w, b, g.stride, g.padding);
-      r.y[pass] = Copy(y.data(), y.numel());
-      Sum(Mul(y, gy)).Backward();
-    }
+    r.y[pass] = Copy(y.data(), y.numel());
+    Sum(Mul(y, gy)).Backward();
   }
   r.dx = Copy(x.grad(), x.numel());
   r.dw = Copy(w.grad(), w.numel());
@@ -391,34 +373,24 @@ TEST(ConvSpecTest, LoweringFollowsTheOrderContract) {
   }
 }
 
-struct OpCase {
-  int pool_threads;
-  bool graph_mode;
-};
-
-class ConvOpSpecTest : public ::testing::TestWithParam<OpCase> {
+class ConvOpSpecTest : public ::testing::TestWithParam<int> {
  protected:
   void TearDown() override { runtime::SetGlobalPoolThreads(1); }
 };
 
 TEST_P(ConvOpSpecTest, MatchesReferenceBitwise) {
-  runtime::SetGlobalPoolThreads(GetParam().pool_threads);
+  runtime::SetGlobalPoolThreads(GetParam());
   uint64_t seed = 1000;
   for (const Geometry& g : Grid()) {
     const Inputs in = MakeInputs(g, seed += 10);
-    ExpectSameResult(RunReference(g, in, PlainPass),
-                     RunOp(g, in, GetParam().graph_mode), g.Name());
+    ExpectSameResult(RunReference(g, in, PlainPass), RunOp(g, in), g.Name());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PoolAndMode, ConvOpSpecTest,
-    ::testing::Values(OpCase{1, false}, OpCase{1, true}, OpCase{4, false},
-                      OpCase{4, true}),
-    [](const ::testing::TestParamInfo<OpCase>& info) {
-      return std::string(info.param.graph_mode ? "Graph" : "Tape") + "Pool" +
-             std::to_string(info.param.pool_threads);
-    });
+INSTANTIATE_TEST_SUITE_P(Pool, ConvOpSpecTest, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "Pool" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace cews::nn

@@ -194,7 +194,7 @@ TEST(GemmPackedTest, NNRowMapMatchesTheExpandedOperands) {
               c0, want,
               [&](float* got) {
                 gemm::GemmNN(m, n, logical, a.data(), 1, m, b.data(), n, got,
-                             n, nullptr, lrows.data());
+                             n, lrows.data());
               },
               "NN^T mapped from " + std::to_string(distinct), c);
         }

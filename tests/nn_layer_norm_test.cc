@@ -3,9 +3,8 @@
 // A plain loop nest computes LayerNorm followed by ReLU, and ReLU's backward
 // followed by LayerNorm's, with each multiply-add written as the contract's
 // std::fma/std::fmaf. The op must match its y, dx, dgamma and dbeta byte for
-// byte, eagerly and under a graph recording with a replay, for feature
-// counts on and off a multiple of 8 (54, 216 and 576 are the CLI net's
-// widths) and batches on both sides of an 8-row group.
+// byte for feature counts on and off a multiple of 8 (54, 216 and 576 are
+// the CLI net's widths) and batches on both sides of an 8-row group.
 //
 // Inputs carry ±0 in x, beta and the upstream gradient, rows of one
 // constant value (variance 0), rows of signed zeros, and zeros in gamma.
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "nn/graph.h"
 #include "nn/layer_norm.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
@@ -197,35 +195,17 @@ std::vector<float> Copy(const float* p, Index n) {
   return std::vector<float>(p, p + n);
 }
 
-Result RunOp(const Case& c, const Inputs& in, bool graph_mode,
-             Needs needs = {}) {
+Result RunOp(const Case& c, const Inputs& in, Needs needs = {}) {
   Tensor x = Leaf({c.n, c.f}, in.x[0], in.dx0, needs.x);
   Tensor gamma = Leaf({c.f}, in.gamma, in.dgamma0, needs.gamma);
   Tensor beta = Leaf({c.f}, in.beta, in.dbeta0, needs.beta);
   Tensor gy = Tensor::FromData({c.n, c.f}, in.dy);
   Result r;
-  if (graph_mode) {
-    graph::BeginRecording();
-    graph::MarkPlaceholder(x);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::copy(in.x[pass].begin(), in.x[pass].end(), x.data());
     Tensor y = LayerNormReluOp(x, gamma, beta);
-    graph::Retain(y);
-    Tensor loss = Sum(Mul(y, gy));
-    graph::GraphPtr compiled = graph::EndRecording(loss);
-    for (int pass = 0; pass < 2; ++pass) {
-      if (pass == 1) {
-        std::copy(in.x[1].begin(), in.x[1].end(), x.data());
-        compiled->Forward();
-      }
-      r.y[pass] = Copy(y.data(), y.numel());
-      loss.Backward();
-    }
-  } else {
-    for (int pass = 0; pass < 2; ++pass) {
-      std::copy(in.x[pass].begin(), in.x[pass].end(), x.data());
-      Tensor y = LayerNormReluOp(x, gamma, beta);
-      r.y[pass] = Copy(y.data(), y.numel());
-      Sum(Mul(y, gy)).Backward();
-    }
+    r.y[pass] = Copy(y.data(), y.numel());
+    Sum(Mul(y, gy)).Backward();
   }
   if (needs.x) r.dx = Copy(x.grad(), x.numel());
   if (needs.gamma) r.dgamma = Copy(gamma.grad(), gamma.numel());
@@ -257,21 +237,13 @@ void ExpectSameResult(const Result& want, const Result& got,
   if (needs.beta) ExpectSameBytes(want.dbeta, got.dbeta, what + " dbeta");
 }
 
-class LayerNormReluSpecTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(LayerNormReluSpecTest, MatchesReferenceBitwise) {
+TEST(LayerNormReluSpecTest, MatchesReferenceBitwise) {
   uint64_t seed = 2000;
   for (const Case& c : Grid()) {
     const Inputs in = MakeInputs(c, seed += 10);
-    ExpectSameResult(RunReference(c, in), RunOp(c, in, GetParam()), c.Name());
+    ExpectSameResult(RunReference(c, in), RunOp(c, in), c.Name());
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Mode, LayerNormReluSpecTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Graph" : "Tape";
-                         });
 
 TEST(LayerNormReluSpecTest, PartialGradientsMatchReference) {
   // Constant inputs get no gradient; the ones that require grad keep the
@@ -283,11 +255,8 @@ TEST(LayerNormReluSpecTest, PartialGradientsMatchReference) {
   for (const Needs& needs : combos) {
     for (const Case& c : {Case{9, 54}, Case{17, 5}, Case{8, 216}}) {
       const Inputs in = MakeInputs(c, seed += 10);
-      for (bool graph_mode : {false, true}) {
-        ExpectSameResult(RunReference(c, in),
-                         RunOp(c, in, graph_mode, needs),
-                         c.Name() + (graph_mode ? " graph" : " tape"), needs);
-      }
+      ExpectSameResult(RunReference(c, in), RunOp(c, in, needs), c.Name(),
+                       needs);
     }
   }
 }
@@ -323,7 +292,7 @@ TEST(LayerNormReluSpecTest, ReportsKernelCounters) {
   const obs::MetricsSnapshot before = obs::SnapshotMetrics();
   const Case c{9, 54};
   const Inputs in = MakeInputs(c, 78);
-  RunOp(c, in, /*graph_mode=*/false);
+  RunOp(c, in);
   const obs::MetricsSnapshot after = obs::SnapshotMetrics();
   auto delta = [&](const char* name) {
     return after.CounterValue(name) - before.CounterValue(name);

@@ -1,9 +1,11 @@
 // Thread-count invariance of the parallel NN kernels: every kernel gives
 // each accumulator exactly one owning parallel index with a fixed internal
 // accumulation order, so forward values AND gradients must be bitwise
-// identical whether the global pool has 1 thread or many. A short DrlCews
-// training run (single employee) extends the property end to end.
+// identical whether the global pool has 1 thread or many. Short training
+// runs (single employee), with spatial curiosity and with RND, extend the
+// property end to end.
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -124,11 +126,11 @@ env::Map SmallMap() {
   return std::move(result).value();
 }
 
-agents::TrainerConfig TinyTrainer(int runtime_threads) {
+agents::TrainerConfig TinyTrainer(agents::IntrinsicMode intrinsic,
+                                  int runtime_threads) {
   agents::TrainerConfig config;
-  // One employee: with several employees the order in which gradient sums
-  // land in the chief's buffer is arrival-order nondeterministic, which is
-  // independent of the kernel pool under test.
+  // One employee keeps the run short. The chief sums employee gradients in
+  // employee order, so the employee count is not what is under test here.
   config.num_employees = 1;
   config.episodes = 2;
   config.batch_size = 16;
@@ -141,40 +143,50 @@ agents::TrainerConfig TinyTrainer(int runtime_threads) {
   config.net.conv3_channels = 4;
   config.net.feature_dim = 32;
   config.seed = 3;
+  config.intrinsic = intrinsic;
   config.runtime_threads = runtime_threads;
   return config;
 }
 
 TEST(ParallelDeterminismTest, TrainingRunInvariantToRuntimeThreads) {
   const env::Map map = SmallMap();
+  for (const agents::IntrinsicMode intrinsic :
+       {agents::IntrinsicMode::kSpatialCuriosity,
+        agents::IntrinsicMode::kRnd}) {
+    agents::ChiefEmployeeTrainer serial(
+        TinyTrainer(intrinsic, /*runtime_threads=*/1), map);
+    const agents::TrainResult serial_result = serial.Train();
+    std::vector<std::vector<float>> serial_params;
+    for (const nn::Tensor& p : serial.global_net().Parameters()) {
+      serial_params.push_back(ToVec(p));
+    }
 
-  agents::ChiefEmployeeTrainer serial(TinyTrainer(/*runtime_threads=*/1),
-                                      map);
-  const agents::TrainResult serial_result = serial.Train();
-  std::vector<std::vector<float>> serial_params;
-  for (const nn::Tensor& p : serial.global_net().Parameters()) {
-    serial_params.push_back(ToVec(p));
-  }
+    for (const int threads : {2, 4}) {
+      SCOPED_TRACE(std::string(intrinsic == agents::IntrinsicMode::kRnd
+                                   ? "RND"
+                                   : "spatial curiosity") +
+                   ", pool " + std::to_string(threads));
+      agents::ChiefEmployeeTrainer parallel(TinyTrainer(intrinsic, threads),
+                                            map);
+      const agents::TrainResult parallel_result = parallel.Train();
+      runtime::SetGlobalPoolThreads(1);
 
-  agents::ChiefEmployeeTrainer parallel(TinyTrainer(/*runtime_threads=*/4),
-                                        map);
-  const agents::TrainResult parallel_result = parallel.Train();
-  runtime::SetGlobalPoolThreads(1);
-
-  ASSERT_EQ(serial_result.history.size(), parallel_result.history.size());
-  for (size_t i = 0; i < serial_result.history.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial_result.history[i].kappa,
-                     parallel_result.history[i].kappa);
-    EXPECT_DOUBLE_EQ(serial_result.history[i].extrinsic_reward,
-                     parallel_result.history[i].extrinsic_reward);
-    EXPECT_DOUBLE_EQ(serial_result.history[i].intrinsic_reward,
-                     parallel_result.history[i].intrinsic_reward);
-  }
-  const std::vector<nn::Tensor> parallel_params =
-      parallel.global_net().Parameters();
-  ASSERT_EQ(serial_params.size(), parallel_params.size());
-  for (size_t i = 0; i < serial_params.size(); ++i) {
-    ExpectBitwiseEqual(serial_params[i], ToVec(parallel_params[i]));
+      ASSERT_EQ(serial_result.history.size(), parallel_result.history.size());
+      for (size_t i = 0; i < serial_result.history.size(); ++i) {
+        EXPECT_DOUBLE_EQ(serial_result.history[i].kappa,
+                         parallel_result.history[i].kappa);
+        EXPECT_DOUBLE_EQ(serial_result.history[i].extrinsic_reward,
+                         parallel_result.history[i].extrinsic_reward);
+        EXPECT_DOUBLE_EQ(serial_result.history[i].intrinsic_reward,
+                         parallel_result.history[i].intrinsic_reward);
+      }
+      const std::vector<nn::Tensor> parallel_params =
+          parallel.global_net().Parameters();
+      ASSERT_EQ(serial_params.size(), parallel_params.size());
+      for (size_t i = 0; i < serial_params.size(); ++i) {
+        ExpectBitwiseEqual(serial_params[i], ToVec(parallel_params[i]));
+      }
+    }
   }
 }
 

@@ -27,7 +27,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "nn/graph.h"
 #include "nn/module.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
@@ -431,26 +430,6 @@ TEST(ExpandRowsDeathTest, RejectsDifferentGradientsForOneDistinctRow) {
   Tensor loss = Sum(Mul(ExpandRows(x, map),
                         Tensor::FromData({3, 2}, {1, 1, 1, 1, 1, 2})));
   EXPECT_DEATH(loss.Backward(), "carry different gradients");
-}
-
-TEST(RowMapDeathTest, OpsRejectAMapUnderAGraphRecording) {
-  const RowMapPtr map = RowMap::Number({0, 0, 1});
-  Tensor x = Tensor::FromData({2, 4}, std::vector<float>(8, 0.5f));
-  Tensor gamma = Tensor::Full({4}, 1.0f, true);
-  Tensor beta = Tensor::Zeros({4}, true);
-  EXPECT_DEATH(
-      {
-        graph::BeginRecording();
-        LayerNormReluOp(x, gamma, beta, map);
-      },
-      "row maps do not run under a graph recording");
-  Tensor w = Tensor::Full({4, 3}, 0.5f, true);
-  EXPECT_DEATH(
-      {
-        graph::BeginRecording();
-        MatMul(x, w, map);
-      },
-      "MatMul : row maps do not run under a graph recording");
 }
 
 }  // namespace

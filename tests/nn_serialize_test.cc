@@ -262,6 +262,42 @@ TEST(SerializeTest, TrailingGarbageRejected) {
   EXPECT_NE(status.message().find("trailing"), std::string::npos);
 }
 
+/// LoadParameters must refuse `path` and leave every byte of `model` as it
+/// was.
+void ExpectRejectedAndUntouched(const std::string& path,
+                                const std::vector<Tensor>& model) {
+  std::vector<std::vector<float>> before;
+  for (const Tensor& t : model) before.push_back(t.ToVector());
+  EXPECT_FALSE(LoadParameters(path, model).ok());
+  for (size_t i = 0; i < model.size(); ++i) {
+    EXPECT_EQ(std::memcmp(before[i].data(), model[i].data(),
+                          sizeof(float) * before[i].size()),
+              0)
+        << "tensor " << i << " was written by a rejected load";
+  }
+}
+
+TEST(SerializeTest, LastTensorShapeMismatchLeavesModelUnchanged) {
+  const std::string path = TempPath("untouched_shape.bin");
+  ASSERT_TRUE(SaveParameters(path, MakeParams(11.0f)).ok());
+  ExpectRejectedAndUntouched(
+      path, {MakeParams(0.5f)[0], Tensor::Full({5, 1}, 0.5f)});
+}
+
+TEST(SerializeTest, CutInsideLastTensorLeavesModelUnchanged) {
+  const std::string path = TempPath("untouched_cut.bin");
+  const std::string legacy = LegacyBytes(MakeParams(12.0f));
+  // Two floats short of the end: inside the last tensor's data.
+  WriteFile(path, legacy.substr(0, legacy.size() - 2 * sizeof(float)));
+  ExpectRejectedAndUntouched(path, MakeParams(0.5f));
+}
+
+TEST(SerializeTest, TrailingGarbageLeavesModelUnchanged) {
+  const std::string path = TempPath("untouched_trailing.bin");
+  WriteFile(path, LegacyBytes(MakeParams(13.0f)) + "junk");
+  ExpectRejectedAndUntouched(path, MakeParams(0.5f));
+}
+
 TEST(SerializeTest, GarbageFileRejected) {
   const std::string path = TempPath("garbage.bin");
   WriteFile(path, "this is definitely not a checkpoint file at all");

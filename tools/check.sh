@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Repo health check: tier-1 build + tests, then a ThreadSanitizer build of
-# the concurrency-sensitive targets (thread pool, parallel kernels, the
-# expression-graph engine, both trainers, the serve and dist subsystems)
-# and an ASan+UBSan build of the vectorized acting path (VecEnv, trainer
-# core, both trainers) plus the graph, serve, dist and
-# checkpoint-serialization tests, ending with the gradient-checkpointing
-# bitwise guard and a multi-process train-dist smoke that must drive the
-# publish gate through a reject-then-accept sequence into a live fleet,
-# whose trained snapshot then backs an int8 serve smoke (the startup
-# agreement gate must clear 99%). Both sanitizer passes include the int8
+# the concurrency-sensitive targets (thread pool, parallel kernels, both
+# trainers, the serve and dist subsystems) and an ASan+UBSan build of the
+# vectorized acting path (VecEnv, trainer core, both trainers) plus the
+# serve, dist and checkpoint-serialization tests, ending with a
+# multi-process train-dist smoke that must drive the publish gate through
+# a reject-then-accept sequence into a live fleet, whose trained snapshot
+# then backs an int8 serve smoke (the startup agreement gate must clear
+# 99%). Both sanitizer passes include the int8
 # quantization/kernel tests (nn_quant_test, agents_quant_forward_test,
 # serve_quant_test), and an int8 guard requires the whole int8 serving
 # forward (and the int8 trunk-FC product) to stay at or above fp32's speed.
@@ -170,9 +169,8 @@ else
   cmake --build "$repo/build-tsan" -j "$jobs" --target \
     common_thread_pool_test nn_parallel_determinism_test nn_gemm_test \
     nn_conv_test nn_layer_norm_test nn_row_map_test nn_workspace_test \
-    nn_quant_test agents_quant_forward_test nn_graph_test \
-    agents_graph_equivalence_test agents_policy_test agents_trainer_test \
-    agents_async_test \
+    nn_quant_test agents_quant_forward_test agents_policy_test \
+    agents_trainer_test agents_async_test \
     obs_metrics_test obs_trace_test obs_integration_test \
     obs_rolling_test obs_flight_test \
     serve_batcher_test serve_server_test serve_fleet_test serve_trace_test \
@@ -180,7 +178,7 @@ else
 
   echo "== tsan: concurrency tests =="
   (cd "$repo/build-tsan" && ctest --output-on-failure -j "$jobs" -R \
-    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_row_map_test|nn_workspace_test|nn_quant_test|agents_quant_forward_test|nn_graph_test|agents_graph_equivalence_test|agents_policy_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
+    "common_thread_pool_test|nn_parallel_determinism_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_row_map_test|nn_workspace_test|nn_quant_test|agents_quant_forward_test|agents_policy_test|agents_trainer_test|agents_async_test|obs_metrics_test|obs_trace_test|obs_integration_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 fi
 
 if [[ "$skip_asan" == 1 ]]; then
@@ -196,23 +194,14 @@ else
     agents_policy_test agents_trainer_test agents_async_test nn_gemm_test \
     nn_conv_test nn_layer_norm_test nn_row_map_test nn_workspace_test \
     nn_quant_test \
-    agents_quant_forward_test nn_graph_test agents_graph_equivalence_test \
-    nn_serialize_test obs_rolling_test obs_flight_test \
+    agents_quant_forward_test nn_serialize_test obs_rolling_test \
+    obs_flight_test \
     serve_batcher_test serve_server_test serve_fleet_test serve_trace_test \
     serve_quant_test dist_transport_test dist_trainer_equivalence_test
 
   echo "== asan+ubsan: vec acting + serve + dist path tests =="
   (cd "$repo/build-asan" && ctest --output-on-failure -j "$jobs" -R \
-    "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_policy_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_row_map_test|nn_workspace_test|nn_quant_test|agents_quant_forward_test|nn_graph_test|agents_graph_equivalence_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
-
-  echo "== graph: checkpoint bitwise guard =="
-  # Gradient checkpointing must never change training numerics: replaying
-  # the recompute-from-boundary plan has to reproduce the keep-everything
-  # plan bit for bit (same creation-order backward). Runs the dedicated
-  # equivalence filter in the plain build so a planner regression fails the
-  # check even when both sanitizer passes are skipped.
-  "$repo/build/tests/agents_graph_equivalence_test" \
-    --gtest_filter='*CheckpointBitwise*'
+    "env_vec_env_test|agents_trainer_core_test|agents_vec_equivalence_test|agents_policy_test|agents_trainer_test|agents_async_test|nn_gemm_test|nn_conv_test|nn_layer_norm_test|nn_row_map_test|nn_workspace_test|nn_quant_test|agents_quant_forward_test|nn_serialize_test|obs_rolling_test|obs_flight_test|serve_batcher_test|serve_server_test|serve_fleet_test|serve_trace_test|serve_quant_test|dist_transport_test|dist_trainer_equivalence_test")
 fi
 
 echo "== dist: multi-process train-dist + publish-gate smoke =="
