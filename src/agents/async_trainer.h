@@ -16,7 +16,7 @@
 #include <mutex>
 #include <vector>
 
-#include "agents/chief_employee.h"
+#include "agents/trainer_config.h"
 #include "agents/policy_net.h"
 #include "env/env.h"
 #include "env/state_encoder.h"

@@ -1,125 +1,25 @@
-// The chief-employee distributed computational architecture (Section V-A,
-// Algorithms 1-2): synchronous employee threads roll out local environments
-// with local model copies, compute gradients, and leave them in their own
-// slots of two global gradient buffers (PPO + curiosity); the chief sums the
-// slots in employee order, steps the global Adam optimizers, and releases
-// the employees to copy parameters back.
+// The in-process chief-employee trainer (Section V-A, Algorithm 2): one
+// thread per employee (agents/employee.h) explores with local model copies
+// and leaves each minibatch gradient in its own slot of two global gradient
+// buffers (PPO + intrinsic); the chief sums the slots in employee order,
+// steps the global Adam optimizers, and releases the employees to copy the
+// parameters back. Episode diagnostics and heat-map sums also go to
+// per-employee slots that the chief adds in employee order, so the history
+// and the Fig. 9 snapshots do not depend on thread timing.
 #ifndef CEWS_AGENTS_CHIEF_EMPLOYEE_H_
 #define CEWS_AGENTS_CHIEF_EMPLOYEE_H_
 
 #include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
-#include "agents/curiosity.h"
+#include "agents/employee.h"
 #include "agents/policy_net.h"
-#include "agents/ppo.h"
-#include "agents/rnd.h"
+#include "agents/trainer_config.h"
 #include "common/barrier.h"
-#include "env/env.h"
-#include "env/state_encoder.h"
+#include "env/map.h"
 #include "nn/optimizer.h"
 
 namespace cews::agents {
-
-/// Which extrinsic reward the agent trains on (Fig. 5 compares all four
-/// combinations of {dense, sparse} x {with, without curiosity}).
-enum class RewardMode { kSparse, kDense };
-
-/// Which intrinsic-reward module augments the extrinsic reward.
-enum class IntrinsicMode { kNone, kSpatialCuriosity, kRnd };
-
-/// Full training configuration.
-struct TrainerConfig {
-  /// Number of employee threads (Table II sweeps 1..16; paper picks 8).
-  int num_employees = 8;
-  /// Training episodes (each episode is synchronized across employees).
-  int episodes = 200;
-  /// Minibatch size per update round (Table II sweeps 50..500; paper: 250).
-  int batch_size = 250;
-  /// Update rounds K per episode (Algorithm 1, line 17).
-  int update_epochs = 4;
-
-  /// Intra-op worker threads for the NN kernel runtime
-  /// (common/thread_pool.h), shared process-wide by all employees. 1 keeps
-  /// kernels serial (default); 0 sizes the pool to the hardware cores. The
-  /// CEWS_NUM_THREADS environment variable overrides either. Kernel results
-  /// are bitwise-identical at any setting.
-  int runtime_threads = 1;
-
-  /// Environment instances each employee drives through the vectorized
-  /// acting path (env::VecEnv + one batched Forward per lockstep step).
-  /// 1 reproduces the legacy single-env employee bitwise; larger values
-  /// collect envs_per_employee episodes per training episode and batch
-  /// their action selection, which is where the intra-op kernel runtime
-  /// pays off during rollouts.
-  int envs_per_employee = 1;
-
-  PolicyNetConfig net;
-  PpoConfig ppo;
-
-  IntrinsicMode intrinsic = IntrinsicMode::kSpatialCuriosity;
-  CuriosityConfig curiosity;  // num_cells/num_moves/num_workers auto-filled
-  RndConfig rnd;              // state_size auto-filled
-  /// When false the intrinsic module is still trained and its values are
-  /// recorded (heat maps), but the reward the agent optimizes excludes
-  /// r^int. Used to visualize curiosity under DPPO (Fig. 9, bottom row).
-  bool add_intrinsic_to_reward = true;
-
-  /// Multiplies the stored training reward (extrinsic + intrinsic). Keeps
-  /// discounted returns O(1) so the value head tracks them within a short
-  /// training budget; metrics and reported rewards are unscaled.
-  float reward_scale = 1.0f;
-
-  /// When true, replaces the fixed reward_scale with adaptive scaling by
-  /// the running std of the discounted return (reward_normalizer.h).
-  bool normalize_rewards = false;
-
-  RewardMode reward_mode = RewardMode::kSparse;
-  env::EnvConfig env;
-  env::StateEncoderConfig encoder;
-  uint64_t seed = 1;
-
-  /// Log a one-line training heartbeat (episodes/s, steps/s, loss, kappa,
-  /// xi, rho, pool utilization) every this many seconds while Train() runs
-  /// (obs/stats_reporter.h). <= 0 disables.
-  double heartbeat_seconds = 0.0;
-
-  /// Record a curiosity heat-map snapshot every this many episodes
-  /// (0 disables; used by the Fig. 9 bench).
-  int heatmap_snapshot_every = 0;
-
-  /// Periodically save the global policy parameters for offline testing
-  /// ("the parameters in DNNs are periodically saved", Section VI-D).
-  /// 0 disables. Files are "<checkpoint_prefix><episode>.bin".
-  int checkpoint_every = 0;
-  std::string checkpoint_prefix = "cews_ckpt_";
-};
-
-/// Per-episode training diagnostics, averaged over employees.
-struct EpisodeRecord {
-  int episode = 0;
-  double kappa = 0.0;
-  double xi = 1.0;
-  double rho = 0.0;
-  double extrinsic_reward = 0.0;  // mean per step
-  double intrinsic_reward = 0.0;  // mean per step
-  double wall_seconds = 0.0;      // mean employee wall time for the episode
-  double steps_per_sec = 0.0;     // total env steps (all employees) / wall
-};
-
-/// Mean intrinsic reward per visited cell over a training window (Fig. 9).
-struct HeatmapSnapshot {
-  int episode = 0;
-  std::vector<double> cell_values;  // grid*grid, 0 where unvisited
-};
-
-/// Everything Train() produces.
-struct TrainResult {
-  std::vector<EpisodeRecord> history;
-  double seconds = 0.0;  ///< Wall-clock training time (Fig. 3).
-};
 
 /// The synchronous distributed trainer. DRL-CEWS is this trainer with
 /// sparse reward + spatial curiosity; the DPPO baseline is the same trainer
@@ -139,8 +39,8 @@ class ChiefEmployeeTrainer {
   TrainResult Train();
 
   /// The global policy model (Section VI-D testing uses only this).
-  PolicyNet& global_net() { return *global_net_; }
-  const PolicyNet& global_net() const { return *global_net_; }
+  PolicyNet& global_net() { return global_.agent.net(); }
+  const PolicyNet& global_net() const { return global_.agent.net(); }
 
   /// Heat-map snapshots collected when heatmap_snapshot_every > 0.
   const std::vector<HeatmapSnapshot>& heatmap_snapshots() const {
@@ -150,27 +50,25 @@ class ChiefEmployeeTrainer {
   const TrainerConfig& config() const { return config_; }
 
  private:
-  struct EpisodeAccumulator {
-    double kappa = 0.0, xi = 0.0, rho = 0.0;
-    double extrinsic = 0.0, intrinsic = 0.0;
-    double wall = 0.0;   ///< Summed employee wall seconds for the episode.
-    int64_t steps = 0;   ///< Total env steps across employees.
+  /// One employee's diagnostics for one episode.
+  struct EpisodeSlot {
+    RolloutStats stats;
+    double wall_seconds = 0.0;  ///< Rollout + updates + barriers.
   };
 
   void EmployeeLoop(int employee_id);
   /// Runs on the last barrier arriver: applies both gradient buffers.
   /// The barrier orders every employee's slot writes before it.
   void ChiefApplyGradients();
+  /// Episode `episode`'s record, summed over the slots in employee order.
+  EpisodeRecord SumEpisode(int episode) const;
   void MaybeSnapshotHeatmap(int episode);
+  void MaybeCheckpoint(int episode);
 
   TrainerConfig config_;
   env::Map map_;
-  env::StateEncoder encoder_;
 
-  std::unique_ptr<PolicyNet> global_net_;
-  std::unique_ptr<nn::Adam> ppo_optimizer_;
-  std::unique_ptr<SpatialCuriosity> global_curiosity_;
-  std::unique_ptr<RndCuriosity> global_rnd_;
+  ModelSet global_;
   std::unique_ptr<nn::Adam> intrinsic_optimizer_;
 
   // Global gradient buffers (Fig. 1 center): one flat gradient slot per
@@ -180,20 +78,14 @@ class ChiefEmployeeTrainer {
   std::vector<std::vector<float>> ppo_grad_slots_;
   std::vector<std::vector<float>> intrinsic_grad_slots_;
 
-  Barrier barrier_;
-
-  // Shared training diagnostics.
-  std::mutex stats_mu_;
-  std::vector<EpisodeAccumulator> episode_accum_;
-
-  // Curiosity heat map (Fig. 9): per-cell sum and visit count in the
-  // current snapshot window.
-  std::vector<double> heatmap_sum_;
-  std::vector<int64_t> heatmap_count_;
+  // Per-employee diagnostics of the current Train(): episode slots
+  // [employee][episode], and each employee's curiosity heat-map sums over
+  // the current snapshot window (only when snapshots are enabled).
+  std::vector<std::vector<EpisodeSlot>> episode_slots_;
+  std::vector<HeatmapSums> heatmap_slots_;
   std::vector<HeatmapSnapshot> heatmap_snapshots_;
 
-  uint64_t curiosity_seed_ = 0;
-  uint64_t rnd_seed_ = 0;
+  Barrier barrier_;
 };
 
 }  // namespace cews::agents

@@ -4,7 +4,7 @@
 #ifndef CEWS_BASELINES_DPPO_H_
 #define CEWS_BASELINES_DPPO_H_
 
-#include "agents/chief_employee.h"
+#include "agents/trainer_config.h"
 
 namespace cews::baselines {
 

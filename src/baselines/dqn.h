@@ -10,7 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "agents/chief_employee.h"  // EpisodeRecord
+#include "agents/trainer_config.h"  // EpisodeRecord
 #include "agents/cnn_trunk.h"
 #include "agents/eval.h"
 #include "env/env.h"

@@ -8,7 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "agents/chief_employee.h"  // EpisodeRecord
+#include "agents/trainer_config.h"  // EpisodeRecord
 #include "agents/eval.h"
 #include "agents/ppo.h"
 #include "env/env.h"

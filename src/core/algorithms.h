@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "agents/chief_employee.h"
+#include "agents/trainer_config.h"
 #include "agents/eval.h"
 #include "env/env.h"
 #include "env/map.h"

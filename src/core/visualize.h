@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "agents/chief_employee.h"
+#include "agents/trainer_config.h"
 #include "common/status.h"
 #include "env/env.h"
 

@@ -15,7 +15,7 @@
 #include <memory>
 #include <string>
 
-#include "agents/chief_employee.h"
+#include "agents/trainer_config.h"
 #include "agents/policy_net.h"
 #include "common/rng.h"
 #include "common/status.h"

@@ -21,88 +21,8 @@ namespace cews::dist {
 
 namespace {
 
-env::Position WorkerPos(const env::Env& e, int w) {
-  return e.workers()[static_cast<size_t>(w)].pos;
-}
-
-agents::PositionObs MakeObs(const env::StateEncoder& encoder,
-                            const env::Map& map, const env::Position& p) {
-  agents::PositionObs obs;
-  obs.cell = encoder.CellIndex(map, p);
-  obs.sx = static_cast<float>(p.x / map.config.size_x);
-  obs.sy = static_cast<float>(p.y / map.config.size_y);
-  return obs;
-}
-
-/// The employee-side intrinsic bridge: the in-process trainer's
-/// IntrinsicObserver minus the heat-map accumulation (the chief owns no
-/// shared stats here — heat maps are an in-process visualization feature).
-/// Reward computation and curiosity-sample collection are identical, so
-/// employee rollouts consume models and produce samples exactly like an
-/// in-process employee thread.
-class DistIntrinsicObserver : public agents::StepObserver {
- public:
-  DistIntrinsicObserver(const env::StateEncoder& encoder, const env::Map& map,
-                        agents::SpatialCuriosity* curiosity,
-                        agents::RndCuriosity* rnd,
-                        std::vector<agents::CuriositySample>* samples,
-                        int num_envs, int num_workers)
-      : encoder_(encoder),
-        map_(map),
-        curiosity_(curiosity),
-        rnd_(rnd),
-        samples_(samples),
-        from_(static_cast<size_t>(num_envs),
-              std::vector<agents::PositionObs>(
-                  static_cast<size_t>(num_workers))) {}
-
-  void BeforeStep(int env_index, const env::Env& env,
-                  const agents::ActResult& /*act*/) override {
-    if (curiosity_ == nullptr) return;
-    std::vector<agents::PositionObs>& from =
-        from_[static_cast<size_t>(env_index)];
-    for (size_t w = 0; w < from.size(); ++w) {
-      from[w] = MakeObs(encoder_, map_, WorkerPos(env, static_cast<int>(w)));
-    }
-  }
-
-  double IntrinsicReward(int env_index, const env::Env& env,
-                         const agents::ActResult& act,
-                         const float* next_state) override {
-    if (curiosity_ != nullptr) {
-      std::vector<agents::PositionObs>& from =
-          from_[static_cast<size_t>(env_index)];
-      const int num_workers = static_cast<int>(from.size());
-      double r_int = 0.0;
-      for (int w = 0; w < num_workers; ++w) {
-        const agents::PositionObs to =
-            MakeObs(encoder_, map_, WorkerPos(env, w));
-        r_int += curiosity_->IntrinsicReward(
-            w, from[static_cast<size_t>(w)], act.moves[static_cast<size_t>(w)],
-            to);
-        samples_->push_back(agents::CuriositySample{
-            w, from[static_cast<size_t>(w)], act.moves[static_cast<size_t>(w)],
-            to});
-      }
-      return r_int / num_workers;
-    }
-    if (rnd_ != nullptr) return rnd_->IntrinsicReward(next_state);
-    return 0.0;
-  }
-
- private:
-  const env::StateEncoder& encoder_;
-  const env::Map& map_;
-  agents::SpatialCuriosity* curiosity_;
-  agents::RndCuriosity* rnd_;
-  std::vector<agents::CuriositySample>* samples_;
-  std::vector<std::vector<agents::PositionObs>> from_;
-};
-
-uint64_t CuriositySeed(uint64_t seed) { return seed * 0x9E3779B9ULL + 17; }
-uint64_t RndSeed(uint64_t seed) { return seed * 0x9E3779B9ULL + 29; }
-/// The chief's learner rng, disjoint from every other derivation in the
-/// repo (17/29 intrinsic, 7919-per-rank rollout, +1000 agent init).
+/// The chief's learner rng, disjoint from the intrinsic-module (+17/+29 on
+/// the same multiplier) and per-rank derivations in agents/employee.cc.
 uint64_t LearnerSeed(uint64_t seed) { return seed * 0x9E3779B9ULL + 101; }
 
 agents::EpisodeRecord MakeRecord(const agents::TrainerConfig& config, int it,
@@ -127,88 +47,28 @@ agents::EpisodeRecord MakeRecord(const agents::TrainerConfig& config, int it,
 
 }  // namespace
 
-agents::TrainerConfig NormalizeConfig(const agents::TrainerConfig& config,
-                                      const env::Map& map) {
-  agents::TrainerConfig out = config;
-  const env::StateEncoder encoder(config.encoder);
-  out.net.num_workers = static_cast<int>(map.worker_spawns.size());
-  out.net.num_moves = out.env.action_space.num_moves();
-  out.net.grid = out.encoder.grid;
-  out.curiosity.num_cells = encoder.NumCells();
-  out.curiosity.num_moves = out.net.num_moves;
-  out.curiosity.num_workers = out.net.num_workers;
-  out.rnd.state_size = encoder.StateSize();
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // EmployeeCore
 // ---------------------------------------------------------------------------
 
 EmployeeCore::EmployeeCore(const agents::TrainerConfig& config,
                            const env::Map& map, int rank)
-    : config_(config),
-      map_(map),
-      encoder_(config.encoder),
-      agent_(config.net, config.ppo,
-             config.seed + static_cast<uint64_t>(rank) + 1000),
-      vec_(config.env, map_, config.envs_per_employee),
-      rng_(config.seed * 7919 + static_cast<uint64_t>(rank)),
-      normalizers_(static_cast<size_t>(config.envs_per_employee),
-                   agents::RewardNormalizer(config.ppo.gamma)),
-      rank_(rank) {
-  CEWS_CHECK_GE(rank, 0);
-  CEWS_CHECK_LT(rank, config.num_employees);
-  if (config_.intrinsic == agents::IntrinsicMode::kSpatialCuriosity) {
-    curiosity_ = std::make_unique<agents::SpatialCuriosity>(
-        config_.curiosity, CuriositySeed(config_.seed));
-  } else if (config_.intrinsic == agents::IntrinsicMode::kRnd) {
-    rnd_ = std::make_unique<agents::RndCuriosity>(config_.rnd,
-                                                  RndSeed(config_.seed));
-  }
-}
+    : employee_(config, map, rank) {}
 
 void EmployeeCore::SetParams(const ParamUpdate& update) {
-  nn::LoadFlatValues(agent_.Parameters(), update.policy);
-  if (curiosity_ != nullptr) {
-    nn::LoadFlatValues(curiosity_->Parameters(), update.intrinsic);
-  } else if (rnd_ != nullptr) {
-    nn::LoadFlatValues(rnd_->Parameters(), update.intrinsic);
-  }
+  agents::ModelSet& models = employee_.models();
+  nn::LoadFlatValues(models.agent.Parameters(), update.policy);
+  nn::LoadFlatValues(models.IntrinsicParameters(), update.intrinsic);
 }
 
 RolloutPayload EmployeeCore::RunIteration(uint64_t iteration) {
+  agents::EmployeeRollout rollout = employee_.Rollout();
   RolloutPayload payload;
-  payload.rank = static_cast<uint32_t>(rank_);
+  payload.rank = static_cast<uint32_t>(employee_.rank());
   payload.iteration = iteration;
-
-  DistIntrinsicObserver observer(encoder_, map_, curiosity_.get(), rnd_.get(),
-                                 &payload.samples, vec_.size(),
-                                 vec_.num_workers());
-  agents::VecRolloutOptions options;
-  options.sparse_reward = config_.reward_mode == agents::RewardMode::kSparse;
-  options.add_intrinsic_to_reward = config_.add_intrinsic_to_reward;
-  options.reward_scale = config_.reward_scale;
-
-  agents::VecRolloutResult rollout = agents::RunVecRollout(
-      agent_.net(), vec_, encoder_, rng_, options, &observer,
-      config_.normalize_rewards ? &normalizers_ : nullptr);
-  // GAE per instance buffer, employee-side: advantages must not bridge
-  // episodes, and shipping them finished keeps the chief's merge pure
-  // concatenation.
-  for (agents::RolloutBuffer& b : rollout.buffers) {
-    b.ComputeAdvantages(config_.ppo.gamma, config_.ppo.gae_lambda,
-                        /*last_value=*/0.0f);
-  }
   payload.buffers = std::move(rollout.buffers);
-  for (size_t i = 0; i < rollout.extrinsic_sums.size(); ++i) {
-    payload.stats.extrinsic_sum += rollout.extrinsic_sums[i];
-    payload.stats.intrinsic_sum += rollout.intrinsic_sums[i];
-  }
-  payload.stats.kappa = vec_.MeanKappa();
-  payload.stats.xi = vec_.MeanXi();
-  payload.stats.rho = vec_.MeanRho();
-  payload.stats.env_steps = rollout.env_steps;
+  payload.samples = std::move(rollout.samples);
+  payload.stats = rollout.stats;
   return payload;
 }
 
@@ -218,37 +78,22 @@ RolloutPayload EmployeeCore::RunIteration(uint64_t iteration) {
 
 LearnerCore::LearnerCore(const agents::TrainerConfig& config)
     : config_(config),
-      agent_(config.net, config.ppo, config.seed),
-      rng_(LearnerSeed(config.seed)) {
-  if (config_.intrinsic == agents::IntrinsicMode::kSpatialCuriosity) {
-    curiosity_ = std::make_unique<agents::SpatialCuriosity>(
-        config_.curiosity, CuriositySeed(config_.seed));
-    intrinsic_optimizer_ = std::make_unique<nn::Adam>(
-        curiosity_->Parameters(), config_.curiosity.lr);
-  } else if (config_.intrinsic == agents::IntrinsicMode::kRnd) {
-    rnd_ = std::make_unique<agents::RndCuriosity>(config_.rnd,
-                                                  RndSeed(config_.seed));
-    intrinsic_optimizer_ =
-        std::make_unique<nn::Adam>(rnd_->Parameters(), config_.rnd.lr);
-  }
-}
+      models_(config, config.seed),
+      intrinsic_optimizer_(agents::MakeIntrinsicOptimizer(config, models_)),
+      rng_(LearnerSeed(config.seed)) {}
 
 ParamUpdate LearnerCore::CurrentParams(uint64_t iteration) const {
   ParamUpdate update;
   update.iteration = iteration;
-  update.policy = nn::FlattenValues(agent_.Parameters());
-  if (curiosity_ != nullptr) {
-    update.intrinsic = nn::FlattenValues(curiosity_->Parameters());
-  } else if (rnd_ != nullptr) {
-    update.intrinsic = nn::FlattenValues(rnd_->Parameters());
-  }
+  update.policy = nn::FlattenValues(models_.agent.Parameters());
+  update.intrinsic = nn::FlattenValues(models_.IntrinsicParameters());
   return update;
 }
 
 Status LearnerCore::LoadPolicy(const std::string& path) {
   nn::LoadOptions options;
   options.require_crc = true;
-  return nn::LoadParameters(path, agent_.Parameters(), options);
+  return nn::LoadParameters(path, models_.agent.Parameters(), options);
 }
 
 agents::LossStats LearnerCore::Learn(
@@ -257,33 +102,14 @@ agents::LossStats LearnerCore::Learn(
   agents::LossStats stats;
   static obs::Gauge* const loss_gauge = obs::GetGauge("train.loss");
   for (int k = 0; k < config_.update_epochs; ++k) {
-    agents::MiniBatch mb =
-        buffer.SampleBatch(static_cast<size_t>(config_.batch_size), rng_);
-    // Intrinsic module first (it reads mb before ComputeLoss adopts it),
-    // matching the in-process employee's update order.
-    if (curiosity_ != nullptr && !samples.empty()) {
-      const std::vector<nn::Tensor> cparams = curiosity_->Parameters();
-      nn::ZeroGradients(cparams);
-      nn::Tensor closs = curiosity_->SampleLoss(
-          samples, static_cast<size_t>(config_.batch_size), rng_);
-      closs.Backward();
-      intrinsic_optimizer_->Step();
-    } else if (rnd_ != nullptr) {
-      const std::vector<nn::Tensor> rparams = rnd_->Parameters();
-      nn::ZeroGradients(rparams);
-      nn::Tensor rloss = rnd_->Loss(mb);
-      rloss.Backward();
+    // Single-learner semantics: one gradient per minibatch, clipped at
+    // max_grad_norm (the in-process trainer's N-scaled bound applies to a
+    // SUM of N employee gradients, which does not exist here).
+    if (agents::MinibatchGradient(config_, models_, buffer, samples, rng_,
+                                  &stats)) {
       intrinsic_optimizer_->Step();
     }
-    const std::vector<nn::Tensor> pparams = agent_.Parameters();
-    nn::ZeroGradients(pparams);
-    nn::Tensor loss = agent_.ComputeLoss(std::move(mb), &stats);
-    loss.Backward();
-    // Single-learner semantics: one gradient, one clip at max_grad_norm
-    // (the in-process trainer's N-scaled bound applies to a SUM of N
-    // employee gradients, which does not exist here).
-    nn::ClipGradByGlobalNorm(pparams, config_.ppo.max_grad_norm);
-    agent_.optimizer().Step();
+    models_.agent.optimizer().Step();
   }
   loss_gauge->Set(stats.total);
   return stats;

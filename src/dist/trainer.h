@@ -1,13 +1,15 @@
 // cews::dist — multi-process chief/employee training (DESIGN.md §7).
 //
 // Roles:
-//   - Employees are pure rollout actors: each holds a local model copy,
-//     runs the shared vectorized rollout (agents/trainer_core.h) over its
-//     own environments, completes GAE per instance, and ships the packed
-//     buffers (plus curiosity samples and episode stats) to the chief.
+//   - Employees are pure rollout actors: each is the in-process trainer's
+//     employee (agents::Employee, agents/employee.h) — the same models,
+//     seeds, environments, rollout Rng and intrinsic observer — and ships
+//     its GAE-finished buffers (plus curiosity samples and episode stats)
+//     to the chief.
 //   - The chief is the single learner: it broadcasts the global parameters
 //     each iteration, merges the employee payloads in canonical rank order,
-//     and performs every PPO/intrinsic update itself.
+//     and takes every minibatch gradient itself, with the in-process
+//     employee's routine (agents::MinibatchGradient), then steps.
 //
 // Determinism: given a fixed employee count N, a fixed seed, and the exact
 // float round-trip of the wire format (dist/wire.h), a distributed run is
@@ -15,8 +17,7 @@
 // LearnerCore objects driven in rank order inside one process with no
 // sockets. The equivalence holds by construction: rank-ordered merge fixes
 // the transition order, the broadcast fixes every actor's parameters, and
-// per-rank rollout rngs are derived exactly as the in-process trainer
-// derives per-employee rngs (seed * 7919 + rank). Note the learning
+// each rank's seeds come from the shared agents::Employee. Note the learning
 // semantics intentionally differ from ChiefEmployeeTrainer: that trainer
 // sums per-employee gradients; this one trains on the merged transition
 // pool with a single learner (one gradient per minibatch, clipped at
@@ -36,11 +37,10 @@
 #include <string>
 #include <vector>
 
-#include "agents/chief_employee.h"
 #include "agents/curiosity.h"
+#include "agents/employee.h"
 #include "agents/ppo.h"
-#include "agents/reward_normalizer.h"
-#include "agents/rnd.h"
+#include "agents/trainer_config.h"
 #include "common/result.h"
 #include "dist/channel.h"
 #include "dist/wire.h"
@@ -96,45 +96,33 @@ struct DistTrainResult {
   uint64_t bytes_rx = 0;
 };
 
-/// Auto-fills the dependent TrainerConfig dimensions from the map exactly
-/// as ChiefEmployeeTrainer's constructor does (net.num_workers, curiosity
-/// cells, rnd.state_size, ...). Chief and employees must hash and build
-/// from the SAME normalized config — call this once at every entry point.
-agents::TrainerConfig NormalizeConfig(const agents::TrainerConfig& config,
-                                      const env::Map& map);
+/// The trainers' one dependent-dimension autofill. Chief and employees
+/// must hash and build from the SAME normalized config — call this once at
+/// every entry point.
+using agents::NormalizeConfig;
 
-/// One employee's local state: policy/intrinsic model copies, environments,
-/// rollout rng. Pure actor — never updates parameters itself.
+/// One employee process's state: the shared agents::Employee plus its wire
+/// conversion. Pure actor — never updates parameters itself.
 class EmployeeCore {
  public:
-  /// `config` must already be normalized. Rng and model seeds derive from
-  /// (config.seed, rank) exactly like the in-process trainer's employees,
-  /// so frozen intrinsic parts (curiosity embedding, RND target) replicate
-  /// across processes without ever crossing the wire.
+  /// `config` must already be normalized. The frozen intrinsic parts
+  /// (curiosity embedding, RND target) replicate across processes through
+  /// the shared seeds without ever crossing the wire.
   EmployeeCore(const agents::TrainerConfig& config, const env::Map& map,
                int rank);
 
   /// Overwrites the local trainable parameters with a broadcast.
   void SetParams(const ParamUpdate& update);
 
-  /// One full iteration: vectorized rollout over all local instances,
-  /// per-instance GAE, stats aggregation. The result is what goes on the
-  /// wire (or straight to the reference learner).
+  /// One full iteration: the employee's rollout (Employee::Rollout). The
+  /// result is what goes on the wire (or straight to the reference
+  /// learner).
   RolloutPayload RunIteration(uint64_t iteration);
 
-  int rank() const { return rank_; }
+  int rank() const { return employee_.rank(); }
 
  private:
-  agents::TrainerConfig config_;
-  env::Map map_;
-  env::StateEncoder encoder_;
-  agents::PpoAgent agent_;
-  std::unique_ptr<agents::SpatialCuriosity> curiosity_;
-  std::unique_ptr<agents::RndCuriosity> rnd_;
-  env::VecEnv vec_;
-  Rng rng_;
-  std::vector<agents::RewardNormalizer> normalizers_;
-  int rank_ = 0;
+  agents::Employee employee_;
 };
 
 /// The chief's single-learner state: global models, optimizers, learner
@@ -146,14 +134,13 @@ class LearnerCore {
   /// Flat snapshot of the current trainable parameters.
   ParamUpdate CurrentParams(uint64_t iteration) const;
 
-  /// `update_epochs` rounds of minibatch updates on the merged pool:
-  /// per round one packed minibatch (learner rng), intrinsic-module
-  /// backward + step, PPO backward + clip + step. Returns the last
-  /// round's loss stats.
+  /// `update_epochs` rounds of minibatch updates on the merged pool: per
+  /// round one agents::MinibatchGradient on the learner rng, then the
+  /// intrinsic and PPO Adam steps. Returns the last round's loss stats.
   agents::LossStats Learn(const agents::RolloutBuffer& buffer,
                           const std::vector<agents::CuriositySample>& samples);
 
-  const agents::PolicyNet& net() const { return agent_.net(); }
+  const agents::PolicyNet& net() const { return models_.agent.net(); }
 
   /// Strict (CRC-required) warm-start load into the global policy. See
   /// DistTrainerConfig::init_checkpoint.
@@ -161,9 +148,7 @@ class LearnerCore {
 
  private:
   agents::TrainerConfig config_;
-  agents::PpoAgent agent_;
-  std::unique_ptr<agents::SpatialCuriosity> curiosity_;
-  std::unique_ptr<agents::RndCuriosity> rnd_;
+  agents::ModelSet models_;
   std::unique_ptr<nn::Adam> intrinsic_optimizer_;
   Rng rng_;
 };

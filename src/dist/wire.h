@@ -19,9 +19,10 @@
 #include <string>
 #include <vector>
 
-#include "agents/chief_employee.h"
 #include "agents/curiosity.h"
+#include "agents/employee.h"
 #include "agents/rollout.h"
+#include "agents/trainer_config.h"
 #include "common/result.h"
 #include "env/map.h"
 
@@ -46,15 +47,8 @@ struct ParamUpdate {
 };
 
 /// Per-iteration episode aggregates one employee reports alongside its
-/// buffers (the dist equivalent of ChiefEmployeeTrainer's accumulator).
-struct RolloutStats {
-  double extrinsic_sum = 0.0;  ///< Summed over all instances.
-  double intrinsic_sum = 0.0;
-  double kappa = 0.0;  ///< Instance means (VecEnv::MeanKappa etc.).
-  double xi = 1.0;
-  double rho = 0.0;
-  int64_t env_steps = 0;
-};
+/// buffers (agents::Employee::Rollout's stats).
+using agents::RolloutStats;
 
 /// kRollout payload: everything one employee's iteration produced — one
 /// GAE-completed buffer per environment instance, the curiosity samples

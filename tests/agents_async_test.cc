@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "agents/chief_employee.h"
 #include "agents/reward_normalizer.h"
 #include "env/map.h"
 

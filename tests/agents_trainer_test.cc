@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "baselines/dppo.h"
@@ -85,24 +86,95 @@ TEST(TrainerTest, SingleEmployeeIsDeterministic) {
   }
 }
 
+/// Every EpisodeRecord field but the two wall-clock ones, bit for bit.
+void ExpectSameRecords(const std::vector<EpisodeRecord>& a,
+                       const std::vector<EpisodeRecord>& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].episode, b[i].episode) << what;
+    const double fa[] = {a[i].kappa, a[i].xi, a[i].rho, a[i].extrinsic_reward,
+                         a[i].intrinsic_reward};
+    const double fb[] = {b[i].kappa, b[i].xi, b[i].rho, b[i].extrinsic_reward,
+                         b[i].intrinsic_reward};
+    EXPECT_EQ(std::memcmp(fa, fb, sizeof(fa)), 0)
+        << what << ", episode " << i << ": kappa " << fa[0] << "/" << fb[0]
+        << " xi " << fa[1] << "/" << fb[1] << " rho " << fa[2] << "/"
+        << fb[2] << " extrinsic " << fa[3] << "/" << fb[3] << " intrinsic "
+        << fa[4] << "/" << fb[4];
+  }
+}
+
 TEST(TrainerTest, ManyEmployeesAreDeterministic) {
-  // The chief sums the employees' gradient slots in employee order, so an
-  // update does not depend on which employee reached the barrier first:
-  // two trainings end at the same parameter bytes with 3 and 8 employees.
+  // The chief sums the employees' gradient slots and their episode
+  // diagnostics in employee order, so neither an update nor the history
+  // depends on which employee reached the barrier first: two trainings end
+  // at the same parameter bytes and the same records with 3 and 8
+  // employees.
   for (const int employees : {3, 8}) {
     const TrainerConfig config = TinyTrainer(employees, /*episodes=*/3);
     const env::Map map = SmallMap();
     std::vector<float> params[2];
-    for (std::vector<float>& p : params) {
+    TrainResult results[2];
+    for (int run = 0; run < 2; ++run) {
       ChiefEmployeeTrainer trainer(config, map);
-      trainer.Train();
-      p = nn::FlattenValues(trainer.global_net().Parameters());
+      results[run] = trainer.Train();
+      params[run] = nn::FlattenValues(trainer.global_net().Parameters());
     }
     ASSERT_EQ(params[0].size(), params[1].size());
     EXPECT_EQ(std::memcmp(params[0].data(), params[1].data(),
                           params[0].size() * sizeof(float)),
               0)
         << employees << " employees";
+    ExpectSameRecords(results[0].history, results[1].history,
+                      std::to_string(employees) + " employees");
+  }
+}
+
+TEST(TrainerTest, HeatmapSnapshotsAreDeterministic) {
+  // Each employee keeps its own per-cell sums for the snapshot window and
+  // the chief adds them in employee order, so the snapshot bytes do not
+  // depend on thread timing.
+  TrainerConfig config = TinyTrainer(/*employees=*/2, /*episodes=*/4);
+  config.heatmap_snapshot_every = 2;
+  const env::Map map = SmallMap();
+  std::vector<HeatmapSnapshot> first;
+  for (int run = 0; run < 3; ++run) {
+    ChiefEmployeeTrainer trainer(config, map);
+    trainer.Train();
+    const std::vector<HeatmapSnapshot>& snaps = trainer.heatmap_snapshots();
+    ASSERT_EQ(snaps.size(), 2u);
+    if (run == 0) {
+      first = snaps;
+      continue;
+    }
+    for (size_t s = 0; s < snaps.size(); ++s) {
+      EXPECT_EQ(snaps[s].episode, first[s].episode);
+      ASSERT_EQ(snaps[s].cell_values.size(), first[s].cell_values.size());
+      EXPECT_EQ(std::memcmp(snaps[s].cell_values.data(),
+                            first[s].cell_values.data(),
+                            snaps[s].cell_values.size() * sizeof(double)),
+                0)
+          << "run " << run << ", snapshot " << s;
+    }
+  }
+}
+
+TEST(TrainerTest, SecondTrainReportsFreshMetrics) {
+  // A second Train() on the same trainer reports its own episodes' metrics,
+  // not sums over both calls.
+  ChiefEmployeeTrainer trainer(TinyTrainer(/*employees=*/2, /*episodes=*/2),
+                               SmallMap());
+  trainer.Train();
+  const TrainResult second = trainer.Train();
+  ASSERT_EQ(second.history.size(), 2u);
+  for (const EpisodeRecord& rec : second.history) {
+    EXPECT_GE(rec.kappa, 0.0);
+    EXPECT_LE(rec.kappa, 1.0 + 1e-9);
+    EXPECT_GE(rec.xi, 0.0);
+    EXPECT_LE(rec.xi, 1.0 + 1e-9);
+    EXPECT_GE(rec.rho, 0.0);
+    EXPECT_LE(rec.rho, 1.0 + 1e-9);
   }
 }
 

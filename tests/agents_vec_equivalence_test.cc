@@ -2,14 +2,17 @@
 // must reproduce the pre-vectorization trainers bitwise. Each test
 // hand-rolls the legacy single-env employee loop (the exact code the shared
 // trainer core replaced) and checks per-episode rewards and final global
-// parameters against the refactored trainer.
+// parameters against the refactored trainer. The chief-employee reference
+// also runs Algorithm 1 at two employees with spatial curiosity.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "agents/async_trainer.h"
 #include "agents/chief_employee.h"
+#include "agents/curiosity.h"
 #include "agents/eval.h"
 #include "agents/ppo.h"
 #include "agents/rollout.h"
@@ -35,11 +38,15 @@ env::Map SmallMap(uint64_t seed = 42) {
 }
 
 /// Applies the chief-employee constructor's dependent-dimension autofill so
-/// the reference nets match the trainer's exactly.
+/// the reference models match the trainer's exactly.
 void AutoFill(TrainerConfig& config, const env::Map& map) {
+  const env::StateEncoder encoder(config.encoder);
   config.net.num_workers = static_cast<int>(map.worker_spawns.size());
   config.net.num_moves = config.env.action_space.num_moves();
   config.net.grid = config.encoder.grid;
+  config.curiosity.num_cells = encoder.NumCells();
+  config.curiosity.num_moves = config.net.num_moves;
+  config.curiosity.num_workers = config.net.num_workers;
 }
 
 TrainerConfig TinyChiefConfig() {
@@ -61,87 +68,191 @@ TrainerConfig TinyChiefConfig() {
   return config;
 }
 
-TEST(VecEquivalenceTest, ChiefTrainerMatchesLegacyLoopBitwise) {
+PositionObs ObsAt(const env::StateEncoder& encoder, const env::Map& map,
+                  const env::Position& p) {
+  PositionObs obs;
+  obs.cell = encoder.CellIndex(map, p);
+  obs.sx = static_cast<float>(p.x / map.config.size_x);
+  obs.sy = static_cast<float>(p.y / map.config.size_y);
+  return obs;
+}
+
+/// One employee of the reference: the legacy single-env loop's state, with
+/// the trainer's per-employee seeds written out.
+struct RefEmployee {
+  RefEmployee(const TrainerConfig& config, const env::Map& map, int id)
+      : agent(config.net, config.ppo,
+              config.seed + static_cast<uint64_t>(id) + 1000),
+        curiosity(config.curiosity, config.seed * 0x9E3779B9ULL + 17),
+        env(config.env, map),
+        rng(config.seed * 7919 + static_cast<uint64_t>(id)) {}
+
+  PpoAgent agent;
+  SpatialCuriosity curiosity;
+  env::Env env;
+  Rng rng;
+  RolloutBuffer buffer;
+  std::vector<CuriositySample> samples;
+};
+
+/// Algorithm 1 at `employees` employees, hand-rolled with one employee after
+/// the other: each runs the legacy single-env rollout with its own seeds and
+/// rollout Rng (spatial curiosity adds its mean per-worker r^int to the
+/// reward and collects its samples), then every update round each employee
+/// takes its clipped PPO gradient and its curiosity gradient, the chief adds
+/// them in employee order, clips the PPO sum at employees * max_grad_norm,
+/// steps both Adam optimizers and copies the globals back. The trainer must
+/// match its rewards and final global parameters bit for bit.
+void ExpectChiefTrainerMatchesReference(int employees,
+                                        IntrinsicMode intrinsic) {
   const env::Map map = SmallMap();
   TrainerConfig config = TinyChiefConfig();
+  config.num_employees = employees;
+  config.intrinsic = intrinsic;
   AutoFill(config, map);
+  const bool curious = intrinsic == IntrinsicMode::kSpatialCuriosity;
+  const size_t batch = static_cast<size_t>(config.batch_size);
 
-  // ---- Reference: the legacy single-env, single-employee loop ----
+  // ---- Reference: the chief's global models ----
   Rng global_rng(config.seed);
   PolicyNet global(config.net, global_rng);
   nn::Adam optimizer(global.Parameters(), config.ppo.lr);
-  std::vector<float> grad_buffer(
-      static_cast<size_t>(nn::FlatSize(global.Parameters())), 0.0f);
+  SpatialCuriosity global_curiosity(config.curiosity,
+                                    config.seed * 0x9E3779B9ULL + 17);
+  nn::Adam curiosity_optimizer(global_curiosity.Parameters(),
+                               config.curiosity.lr);
 
-  PpoAgent agent(config.net, config.ppo, config.seed + 1000);
   const env::StateEncoder encoder(config.encoder);
-  env::Env env(config.env, map);
-  Rng rng(config.seed * 7919);
-  RolloutBuffer buffer;
-  nn::CopyParameters(global.Parameters(), agent.Parameters());
-
-  std::vector<double> expected_rewards;
-  for (int episode = 0; episode < config.episodes; ++episode) {
-    env.Reset();
-    buffer.Clear();
-    double ext_sum = 0.0;
-    std::vector<float> state = encoder.Encode(env);
-    while (!env.Done()) {
-      const ActResult act = agent.Act(state, rng);
-      const env::StepResult step = env.Step(act.actions);
-      std::vector<float> next_state = encoder.Encode(env);
-      const double r_ext = step.sparse_reward;
-      Transition t;
-      t.state = std::move(state);
-      t.moves = act.moves;
-      t.charges = act.charges;
-      t.log_prob = act.log_prob;
-      t.value = act.value;
-      t.reward = config.reward_scale * static_cast<float>(r_ext);
-      t.done = step.done;
-      buffer.Add(std::move(t));
-      state = std::move(next_state);
-      ext_sum += r_ext;
+  std::vector<std::unique_ptr<RefEmployee>> staff;
+  for (int id = 0; id < employees; ++id) {
+    staff.push_back(std::make_unique<RefEmployee>(config, map, id));
+  }
+  const auto copy_globals = [&]() {
+    for (const std::unique_ptr<RefEmployee>& e : staff) {
+      nn::CopyParameters(global.Parameters(), e->agent.Parameters());
+      nn::CopyParameters(global_curiosity.Parameters(),
+                         e->curiosity.Parameters());
     }
-    buffer.ComputeAdvantages(config.ppo.gamma, config.ppo.gae_lambda, 0.0f);
-    expected_rewards.push_back(ext_sum / config.env.horizon);
+  };
+  copy_globals();
 
-    const std::vector<nn::Tensor> local_params = agent.Parameters();
+  std::vector<double> expected_extrinsic;
+  std::vector<double> expected_intrinsic;
+  for (int episode = 0; episode < config.episodes; ++episode) {
+    double ext_total = 0.0;
+    double int_total = 0.0;
+    for (const std::unique_ptr<RefEmployee>& e : staff) {
+      e->env.Reset();
+      e->buffer.Clear();
+      e->samples.clear();
+      double ext_sum = 0.0;
+      double int_sum = 0.0;
+      std::vector<float> state = encoder.Encode(e->env);
+      while (!e->env.Done()) {
+        const ActResult act = e->agent.Act(state, e->rng);
+        std::vector<PositionObs> from;
+        for (const env::WorkerState& w : e->env.workers()) {
+          from.push_back(ObsAt(encoder, map, w.pos));
+        }
+        const env::StepResult step = e->env.Step(act.actions);
+        std::vector<float> next_state = encoder.Encode(e->env);
+        const double r_ext = step.sparse_reward;
+        double r_int = 0.0;
+        if (curious) {
+          const int num_workers = static_cast<int>(from.size());
+          for (int w = 0; w < num_workers; ++w) {
+            const size_t wi = static_cast<size_t>(w);
+            const PositionObs to =
+                ObsAt(encoder, map, e->env.workers()[wi].pos);
+            r_int += e->curiosity.IntrinsicReward(w, from[wi],
+                                                  act.moves[wi], to);
+            e->samples.push_back(
+                CuriositySample{w, from[wi], act.moves[wi], to});
+          }
+          r_int = r_int / num_workers;
+        }
+        Transition t;
+        t.state = std::move(state);
+        t.moves = act.moves;
+        t.charges = act.charges;
+        t.log_prob = act.log_prob;
+        t.value = act.value;
+        t.reward = config.reward_scale * static_cast<float>(r_ext + r_int);
+        t.done = step.done;
+        e->buffer.Add(std::move(t));
+        state = std::move(next_state);
+        ext_sum += r_ext;
+        int_sum += r_int;
+      }
+      e->buffer.ComputeAdvantages(config.ppo.gamma, config.ppo.gae_lambda,
+                                  0.0f);
+      ext_total += ext_sum / config.env.horizon;
+      int_total += int_sum / config.env.horizon;
+    }
+    expected_extrinsic.push_back(ext_total * (1.0 / employees));
+    expected_intrinsic.push_back(int_total * (1.0 / employees));
+
     for (int k = 0; k < config.update_epochs; ++k) {
-      MiniBatch mb =
-          buffer.SampleBatch(static_cast<size_t>(config.batch_size), rng);
-      LossStats loss_stats;
-      nn::ZeroGradients(local_params);
-      nn::Tensor loss = agent.ComputeLoss(std::move(mb), &loss_stats);
-      loss.Backward();
-      nn::ClipGradByGlobalNorm(local_params, config.ppo.max_grad_norm);
-      const std::vector<float> flat = nn::FlattenGradients(local_params);
-      for (size_t i = 0; i < flat.size(); ++i) grad_buffer[i] += flat[i];
+      std::vector<std::vector<float>> ppo_grads;
+      std::vector<std::vector<float>> curiosity_grads;
+      for (const std::unique_ptr<RefEmployee>& e : staff) {
+        MiniBatch mb = e->buffer.SampleBatch(batch, e->rng);
+        if (curious) {
+          const std::vector<nn::Tensor> cparams = e->curiosity.Parameters();
+          nn::ZeroGradients(cparams);
+          nn::Tensor closs = e->curiosity.SampleLoss(e->samples, batch,
+                                                     e->rng);
+          closs.Backward();
+          curiosity_grads.push_back(nn::FlattenGradients(cparams));
+        }
+        const std::vector<nn::Tensor> local_params = e->agent.Parameters();
+        nn::ZeroGradients(local_params);
+        nn::Tensor loss = e->agent.ComputeLoss(std::move(mb));
+        loss.Backward();
+        nn::ClipGradByGlobalNorm(local_params, config.ppo.max_grad_norm);
+        ppo_grads.push_back(nn::FlattenGradients(local_params));
+      }
 
-      // Chief apply (num_employees == 1).
+      // Chief apply: the employees' gradients in employee order.
       const std::vector<nn::Tensor> global_params = global.Parameters();
       nn::ZeroGradients(global_params);
-      nn::AccumulateFlatGradients(global_params, grad_buffer);
+      for (const std::vector<float>& g : ppo_grads) {
+        nn::AccumulateFlatGradients(global_params, g);
+      }
       nn::ClipGradByGlobalNorm(global_params,
-                               config.ppo.max_grad_norm *
-                                   config.num_employees);
+                               config.ppo.max_grad_norm * employees);
       optimizer.Step();
-      std::fill(grad_buffer.begin(), grad_buffer.end(), 0.0f);
-      nn::CopyParameters(global.Parameters(), agent.Parameters());
+      if (curious) {
+        const std::vector<nn::Tensor> cparams = global_curiosity.Parameters();
+        nn::ZeroGradients(cparams);
+        for (const std::vector<float>& g : curiosity_grads) {
+          nn::AccumulateFlatGradients(cparams, g);
+        }
+        curiosity_optimizer.Step();
+      }
+      copy_globals();
     }
   }
 
   // ---- The refactored trainer at envs_per_employee = 1 ----
   TrainerConfig vec_config = TinyChiefConfig();
+  vec_config.num_employees = employees;
+  vec_config.intrinsic = intrinsic;
   vec_config.envs_per_employee = 1;
   ChiefEmployeeTrainer trainer(vec_config, map);
   const TrainResult result = trainer.Train();
 
-  ASSERT_EQ(result.history.size(), expected_rewards.size());
-  for (size_t e = 0; e < expected_rewards.size(); ++e) {
+  ASSERT_EQ(result.history.size(), expected_extrinsic.size());
+  for (size_t e = 0; e < expected_extrinsic.size(); ++e) {
     EXPECT_DOUBLE_EQ(result.history[e].extrinsic_reward,
-                     expected_rewards[e])
+                     expected_extrinsic[e])
         << "episode " << e;
+    EXPECT_DOUBLE_EQ(result.history[e].intrinsic_reward,
+                     expected_intrinsic[e])
+        << "episode " << e;
+  }
+  if (curious) {
+    EXPECT_GT(expected_intrinsic.back(), 0.0);
   }
   const std::vector<float> got =
       nn::FlattenValues(trainer.global_net().Parameters());
@@ -150,6 +261,15 @@ TEST(VecEquivalenceTest, ChiefTrainerMatchesLegacyLoopBitwise) {
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(got[i], want[i]) << "parameter " << i;  // bitwise
   }
+}
+
+TEST(VecEquivalenceTest, ChiefTrainerMatchesLegacyLoopBitwise) {
+  ExpectChiefTrainerMatchesReference(/*employees=*/1, IntrinsicMode::kNone);
+}
+
+TEST(VecEquivalenceTest, TwoEmployeeCuriosityChiefMatchesReferenceBitwise) {
+  ExpectChiefTrainerMatchesReference(/*employees=*/2,
+                                     IntrinsicMode::kSpatialCuriosity);
 }
 
 AsyncTrainerConfig TinyAsyncConfig() {

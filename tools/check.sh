@@ -18,7 +18,9 @@
 # include the row-map spec (nn_row_map_test) and the PPO loss on repeated
 # transitions (agents_policy_test).
 # Run from anywhere; builds land in build/, build-portable/, build-tsan/,
-# and build-asan/.
+# and build-asan/. The last three use Ninja, which builds the listed test
+# targets in parallel (the Makefile generator's top-level Makefile is
+# .NOTPARALLEL, so it would compile them one after another).
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan]
 set -euo pipefail
@@ -31,6 +33,20 @@ for arg in "$@"; do
   [[ "$arg" == "--skip-tsan" ]] && skip_tsan=1
   [[ "$arg" == "--skip-asan" ]] && skip_asan=1
 done
+
+# Configures build directory $1 (further arguments go to cmake) with Ninja.
+# A directory an earlier run configured with another generator gets its
+# cache dropped first, since CMake refuses to switch generators in place.
+configure_ninja() {
+  local dir="$1"
+  shift
+  if [[ -f "$dir/CMakeCache.txt" ]] &&
+     ! grep -qx 'CMAKE_GENERATOR:INTERNAL=Ninja' "$dir/CMakeCache.txt"; then
+    echo "$dir was configured with another generator; dropping its cache"
+    rm -rf "$dir/CMakeCache.txt" "$dir/CMakeFiles"
+  fi
+  cmake -G Ninja -B "$dir" -S "$repo" "$@" >/dev/null
+}
 
 echo "== tier-1: configure + build =="
 cmake -B "$repo/build" -S "$repo" >/dev/null
@@ -46,10 +62,10 @@ echo "== nn: portable-lane conv, LayerNorm, GEMM, Adam, row-map and int8 spec ==
 # scalar loop and the int8 kernels their scalar loops. They must match the
 # same plain references the vector builds match in the tier-1 build, byte
 # for byte, and the row-mapped ops must match the expanded batch there too.
-cmake -B "$repo/build-portable" -S "$repo" \
+configure_ninja "$repo/build-portable" \
   -DCEWS_NATIVE_ARCH=OFF \
   -DCEWS_BUILD_BENCHMARKS=OFF \
-  -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
+  -DCEWS_BUILD_EXAMPLES=OFF
 cmake --build "$repo/build-portable" -j "$jobs" --target nn_conv_test \
   nn_layer_norm_test nn_gemm_test nn_optimizer_test nn_row_map_test \
   nn_quant_test agents_quant_forward_test
@@ -128,9 +144,11 @@ fi
 echo "== serve: request-tracing overhead guard =="
 # The disabled-tracing serve path pays one relaxed atomic load per request
 # (budget: <=1% on p99); with --trace-out each request additionally records
-# four tagged spans. Open-loop p99 at this scale is dominated by batching
-# delay and scheduler noise, so like the matmul guard this is informational:
-# a big delta means "rerun on an idle machine", not "fail the check".
+# four tagged spans. One open-loop p99 at this scale is dominated by
+# batching delay and scheduler noise, so the guard runs five alternating
+# off/on pairs, prints every sample and compares the medians. Like the
+# matmul guard it is informational: a big delta means "rerun on an idle
+# machine", not "fail the check".
 if [[ -x "$repo/build/tools/cews" ]]; then
   serve_p99() {  # $1 = extra args
     # shellcheck disable=SC2086
@@ -139,16 +157,33 @@ if [[ -x "$repo/build/tools/cews" ]]; then
       --seed 7 $1 2>/dev/null |
       awk -F'|' '/^\| [0-9]/ {gsub(/ /, "", $12); print $12; exit}'
   }
-  off_p99="$(serve_p99 "")"
-  on_p99="$(serve_p99 "--trace-out $repo/build/check_serve_trace.json")"
-  if [[ -n "$off_p99" && -n "$on_p99" ]]; then
-    delta="$(awk -v a="$off_p99" -v b="$on_p99" \
+  median() {
+    printf '%s\n' "$@" | sort -g | awk '{v[NR] = $1} END {
+      if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2}'
+  }
+  off_p99=()
+  on_p99=()
+  for _ in 1 2 3 4 5; do
+    off_p99+=("$(serve_p99 "")")
+    on_p99+=("$(serve_p99 "--trace-out $repo/build/check_serve_trace.json")")
+  done
+  echo "open-loop p99 samples (us), tracing off: ${off_p99[*]}"
+  echo "open-loop p99 samples (us), tracing on:  ${on_p99[*]}"
+  parsed=0
+  for sample in "${off_p99[@]}" "${on_p99[@]}"; do
+    [[ -n "$sample" ]] && parsed=$((parsed + 1))
+  done
+  if [[ "$parsed" -eq 10 ]]; then
+    off_median="$(median "${off_p99[@]}")"
+    on_median="$(median "${on_p99[@]}")"
+    delta="$(awk -v a="$off_median" -v b="$on_median" \
       'BEGIN {printf "%.1f", (b - a) / a * 100.0}')"
-    echo "open-loop p99: tracing off ${off_p99} us, on ${on_p99} us" \
-         "(tracing adds ${delta}%)"
+    echo "open-loop p99 medians: tracing off ${off_median} us," \
+         "on ${on_median} us (tracing adds ${delta}%)"
     if awk -v d="$delta" 'BEGIN {exit !(d > 10.0)}'; then
-      echo "WARNING: request tracing moved open-loop p99 by ${delta}%" \
-           "(informational only — rerun on an idle machine before acting)"
+      echo "WARNING: request tracing moved the median open-loop p99 by" \
+           "${delta}% (informational only — rerun on an idle machine" \
+           "before acting)"
     fi
   else
     echo "could not parse serve output; skipping serve overhead comparison"
@@ -162,10 +197,10 @@ if [[ "$skip_tsan" == 1 ]]; then
   echo "== skipping TSan pass (--skip-tsan) =="
 else
   echo "== tsan: configure + build (tests only) =="
-  cmake -B "$repo/build-tsan" -S "$repo" \
+  configure_ninja "$repo/build-tsan" \
     -DCEWS_SANITIZE=thread \
     -DCEWS_BUILD_BENCHMARKS=OFF \
-    -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
+    -DCEWS_BUILD_EXAMPLES=OFF
   cmake --build "$repo/build-tsan" -j "$jobs" --target \
     common_thread_pool_test nn_parallel_determinism_test nn_gemm_test \
     nn_conv_test nn_layer_norm_test nn_row_map_test nn_workspace_test \
@@ -185,10 +220,10 @@ if [[ "$skip_asan" == 1 ]]; then
   echo "== skipping ASan+UBSan pass (--skip-asan) =="
 else
   echo "== asan+ubsan: configure + build (tests only) =="
-  cmake -B "$repo/build-asan" -S "$repo" \
+  configure_ninja "$repo/build-asan" \
     -DCEWS_SANITIZE=address,undefined \
     -DCEWS_BUILD_BENCHMARKS=OFF \
-    -DCEWS_BUILD_EXAMPLES=OFF >/dev/null
+    -DCEWS_BUILD_EXAMPLES=OFF
   cmake --build "$repo/build-asan" -j "$jobs" --target \
     env_vec_env_test agents_trainer_core_test agents_vec_equivalence_test \
     agents_policy_test agents_trainer_test agents_async_test nn_gemm_test \
