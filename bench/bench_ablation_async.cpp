@@ -26,9 +26,10 @@ int main() {
     agents::TrainerConfig config = core::MakeTrainerConfig(
         core::Algorithm::kDppo, env_config, options);
     config.num_employees = employees;
-    core::DrlCews system(config, map);
-    const agents::TrainResult train = system.Train();
-    const agents::EvalResult r = system.Evaluate(options.eval_episodes);
+    const std::unique_ptr<core::DrlCews> system =
+        bench::MakeSystem(config, map);
+    const agents::TrainResult train = system->Train();
+    const agents::EvalResult r = system->Evaluate(options.eval_episodes);
     table.AddRow({"sync PPO (chief-employee)", Table::Fmt(r.kappa),
                   Table::Fmt(r.xi), Table::Fmt(r.rho),
                   Table::Fmt(train.seconds, 1)});

@@ -20,9 +20,10 @@ int main() {
         core::Algorithm::kDrlCews, env_config, options);
     config.curiosity.eta = eta;
     if (eta == 0.0f) config.intrinsic = agents::IntrinsicMode::kNone;
-    core::DrlCews system(config, map);
-    system.Train();
-    const agents::EvalResult r = system.Evaluate(options.eval_episodes);
+    const std::unique_ptr<core::DrlCews> system =
+        bench::MakeSystem(config, map);
+    system->Train();
+    const agents::EvalResult r = system->Evaluate(options.eval_episodes);
     table.AddRow({Table::Fmt(eta, 1), Table::Fmt(r.kappa), Table::Fmt(r.xi),
                   Table::Fmt(r.rho)});
     std::printf("  eta=%.1f kappa=%.3f xi=%.3f rho=%.3f\n", eta, r.kappa,

@@ -33,9 +33,10 @@ int main() {
     config.batch_size = options.batch_size;
     config.reward_scale = variant.scale;
     config.normalize_rewards = variant.normalize;
-    core::DrlCews system(config, map);
-    system.Train();
-    const agents::EvalResult r = system.Evaluate(options.eval_episodes);
+    const std::unique_ptr<core::DrlCews> system =
+        bench::MakeSystem(config, map);
+    system->Train();
+    const agents::EvalResult r = system->Evaluate(options.eval_episodes);
     table.AddRow({variant.name, Table::Fmt(r.kappa), Table::Fmt(r.xi),
                   Table::Fmt(r.rho)});
     std::printf("  %-26s kappa=%.3f rho=%.3f\n", variant.name, r.kappa,

@@ -12,14 +12,10 @@
 //     it updates), so steps/s grows sublinearly in employees even with
 //     enough cores — exactly the trade the single-learner design makes for
 //     bitwise determinism.
-//
-// Writes BENCH_dist.json (path overridable via CEWS_BENCH_DIST_OUT) with
-// one record per swept point.
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,23 +133,5 @@ int main() {
       "way.\n",
       std::thread::hardware_concurrency());
 
-  std::string out_path = "BENCH_dist.json";
-  if (const char* p = std::getenv("CEWS_BENCH_DIST_OUT")) out_path = p;
-  std::ofstream out(out_path);
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"employees\": %d, \"envs_per_employee\": %d, \"seconds\": %.3f, "
-        "\"steps_per_sec\": %.1f, \"bytes_per_iter\": %.1f, "
-        "\"tx_mb\": %.3f, \"rx_mb\": %.3f}",
-        rows[i].employees, rows[i].envs, rows[i].seconds,
-        rows[i].steps_per_sec, rows[i].bytes_per_iter, rows[i].tx_mb,
-        rows[i].rx_mb);
-    out << buf << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  out << "]\n";
-  std::printf("json -> %s\n", out_path.c_str());
   return 0;
 }

@@ -37,7 +37,7 @@ int main() {
   std::vector<Learned> learned;
   for (const core::Algorithm algorithm :
        {core::Algorithm::kDrlCews, core::Algorithm::kDppo}) {
-    auto system = std::make_unique<core::DrlCews>(
+    auto system = bench::MakeSystem(
         core::MakeTrainerConfig(algorithm, env_config, options), train_map);
     system->Train();
     learned.push_back(

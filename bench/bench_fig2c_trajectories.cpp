@@ -12,22 +12,22 @@ int main() {
   const env::Map map =
       bench::MakeBenchMap(bench::BenchMapConfig(pois, 2, 4), 42);
 
-  core::DrlCews system(
+  const std::unique_ptr<core::DrlCews> system = bench::MakeSystem(
       core::MakeTrainerConfig(core::Algorithm::kDrlCews,
                               bench::BenchEnvConfig(), options),
       map);
-  const agents::TrainResult train = system.Train();
+  const agents::TrainResult train = system->Train();
   std::printf("trained %.1fs\n", train.seconds);
 
-  const Status status = system.ExportTrajectoryCsv("fig2c_trajectories.csv");
+  const Status status = system->ExportTrajectoryCsv("fig2c_trajectories.csv");
   CEWS_CHECK(status.ok()) << status.ToString();
   std::printf("wrote fig2c_trajectories.csv\n\n");
 
   // Summarize the evaluation episode the export just ran.
-  env::Env env(system.config().env, map);
+  env::Env env(system->config().env, map);
   Rng rng(7);
-  env::StateEncoder encoder(system.config().encoder);
-  agents::EvaluatePolicy(system.net(), env, encoder, rng);
+  env::StateEncoder encoder(system->config().encoder);
+  agents::EvaluatePolicy(system->net(), env, encoder, rng);
   Table table({"worker", "path length", "kappa contribution", "collisions",
                "charged energy"});
   const double total = map.TotalInitialData();

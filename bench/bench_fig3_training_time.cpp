@@ -27,12 +27,12 @@ int main() {
     options.episodes = episodes;
     options.num_employees = employees;
     options.batch_size = bench::Scaled(64, 250);
-    core::DrlCews system(
+    const std::unique_ptr<core::DrlCews> system = bench::MakeSystem(
         core::MakeTrainerConfig(core::Algorithm::kDrlCews,
                                 bench::BenchEnvConfig(), options),
         map);
-    const agents::TrainResult result = system.Train();
-    const agents::EvalResult eval = system.Evaluate(options.eval_episodes);
+    const agents::TrainResult result = system->Train();
+    const agents::EvalResult eval = system->Evaluate(options.eval_episodes);
     seconds.push_back(result.seconds);
     rhos.push_back(eval.rho);
     std::printf("  employees=%-2d seconds=%.2f rho=%.3f\n", employees,

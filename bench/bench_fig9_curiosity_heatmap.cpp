@@ -80,11 +80,12 @@ int main() {
       config.intrinsic = agents::IntrinsicMode::kSpatialCuriosity;
       config.add_intrinsic_to_reward = false;
     }
-    core::DrlCews system(config, map);
-    system.Train();
-    PrintAsciiHeatmaps(variant.name, system.heatmap_snapshots(),
+    const std::unique_ptr<core::DrlCews> system =
+        bench::MakeSystem(config, map);
+    system->Train();
+    PrintAsciiHeatmaps(variant.name, system->heatmap_snapshots(),
                        options.grid);
-    const Status status = system.ExportHeatmapCsv(
+    const Status status = system->ExportHeatmapCsv(
         std::string("fig9_heatmap_") +
         (variant.drl_cews ? "drlcews" : "dppo") + ".csv");
     if (status.ok()) {

@@ -10,11 +10,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -426,11 +423,10 @@ BENCHMARK(BM_GemmPolicyShapes)
 
 // ---------------------------------------------------------------------------
 // CEWS_BENCH_KERNELS=1 kernel sweep: times packed vs reference kernels on
-// the trainer + serve GEMM shapes and writes BENCH_kernels.json (path
-// overridable via CEWS_BENCH_KERNELS_OUT). Runs single-threaded — the JSON
-// records the per-kernel speedup the ISSUE acceptance criterion asks for —
-// and also records workspace misses per iteration for the packed kernels
-// (0 in steady state: all transient buffers come from the recycling arena).
+// the trainer + serve GEMM shapes and prints one [kernels] line per shape
+// with the per-kernel speedup. Runs single-threaded, and also reports
+// workspace misses per iteration for the packed kernels (0 in steady state:
+// all transient buffers come from the recycling arena).
 
 struct KernelShape {
   const char* name;   // what the shape is in the training/serving pipeline
@@ -460,10 +456,10 @@ void RunKernelSweep() {
   using nn::gemm::GemmNT;
   runtime::SetGlobalPoolThreads(1);
 
-  // Trainer shapes: PPO minibatch 64 through the policy net (conv products
-  // per image, trunk FC, heads) and their backward products. Serve shapes:
-  // the micro-batcher's batch-16 inference. Large squares are the headline
-  // cache-blocking case.
+  // Trainer shapes: PPO minibatch 64 through the policy net's trunk FC and
+  // heads and their backward products (the convs run direct kernels, no
+  // GEMM). Serve shapes: the micro-batcher's batch-16 inference. Large
+  // squares are the headline cache-blocking case.
   const KernelShape kShapes[] = {
       {"square_256", "NN", 256, 256, 256},
       {"square_256", "NT", 256, 256, 256},
@@ -471,21 +467,9 @@ void RunKernelSweep() {
       {"trunk_fc_dA_b64", "NT", 64, 1152, 128},
       {"trunk_fc_dW_b64", "NN", 1152, 128, 64},
       {"head_fwd_b64", "NN", 64, 34, 128},
-      {"conv2_img_g12", "NN", 8, 144, 54},
-      {"conv2_img_g20", "NN", 8, 400, 54},
-      {"conv2_dW_img_g12", "NT", 8, 54, 144},
       {"serve_fc_fwd_b16", "NN", 16, 128, 1152},
   };
 
-  std::string out_path = "BENCH_kernels.json";
-  if (const char* p = std::getenv("CEWS_BENCH_KERNELS_OUT")) out_path = p;
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"gemm_kernel_sweep\",\n"
-      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"threads_used\": 1,\n  \"flops_formula\": \"2*m*n*k\",\n"
-      << "  \"shapes\": [\n";
-
-  bool first = true;
   for (const KernelShape& s : kShapes) {
     const bool nt = std::string(s.kind) == "NT";
     const std::vector<float> a = RandomBuffer(s.m * s.k, 21);
@@ -525,17 +509,6 @@ void RunKernelSweep() {
                          static_cast<double>(s.n) * static_cast<double>(s.k);
     const double ref_gflops = flops / ref_s * 1e-9;
     const double packed_gflops = flops / packed_s * 1e-9;
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"kind\": \"%s\", \"m\": %lld, \"n\": %lld, "
-        "\"k\": %lld, \"reference_gflops\": %.3f, \"packed_gflops\": %.3f, "
-        "\"speedup\": %.3f, \"workspace_misses_per_iter\": %.3f}",
-        s.name, s.kind, static_cast<long long>(s.m),
-        static_cast<long long>(s.n), static_cast<long long>(s.k), ref_gflops,
-        packed_gflops, packed_s > 0 ? ref_s / packed_s : 0.0, misses_per_iter);
-    out << (first ? "" : ",\n") << buf;
-    first = false;
     std::printf("[kernels] %-18s %s m=%lld n=%lld k=%lld  ref %.2f GF/s  "
                 "packed %.2f GF/s  speedup %.2fx  misses/iter %.2f\n",
                 s.name, s.kind, static_cast<long long>(s.m),
@@ -558,8 +531,6 @@ void RunKernelSweep() {
       {"serve_fc_fwd_b16", 16, 128, 1152},
       {"serve_fc_fwd_b64", 64, 128, 1152},
   };
-  out << "\n  ],\n  \"int8_serve\": [\n";
-  first = true;
   for (const Int8Shape& s : kInt8Shapes) {
     const std::vector<float> a = RandomBuffer(s.m * s.k, 31);
     const std::vector<float> b = RandomBuffer(s.k * s.n, 32);
@@ -598,17 +569,6 @@ void RunKernelSweep() {
                          static_cast<double>(s.n) * static_cast<double>(s.k);
     const double fp32_gflops = flops / fp32_s * 1e-9;
     const double int8_gflops = flops / int8_s * 1e-9;
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"kind\": \"fc\", \"m\": %lld, \"n\": %lld, "
-        "\"k\": %lld, \"fp32_gflops\": %.3f, \"int8_gflops\": %.3f, "
-        "\"speedup\": %.3f}",
-        s.name, static_cast<long long>(s.m), static_cast<long long>(s.n),
-        static_cast<long long>(s.k), fp32_gflops, int8_gflops,
-        int8_s > 0 ? fp32_s / int8_s : 0.0);
-    out << (first ? "" : ",\n") << buf;
-    first = false;
     std::printf("[kernels] %-20s fc   m=%lld n=%lld k=%lld  fp32 %.2f GF/s  "
                 "int8 %.2f GF/s  speedup %.2fx\n",
                 s.name, static_cast<long long>(s.m),
@@ -662,29 +622,19 @@ void RunKernelSweep() {
       const double fp32_us = fp32_s[kRounds / 2] * 1e6;
       const double int8_us = int8_s[kRounds / 2] * 1e6;
       const std::string name = "serve_policy_b" + std::to_string(batch);
-      char buf[512];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"name\": \"%s\", \"kind\": \"forward\", "
-                    "\"batch\": %d, \"fp32_us\": %.1f, \"int8_us\": %.1f, "
-                    "\"speedup\": %.3f}",
-                    name.c_str(), batch, fp32_us, int8_us, fp32_us / int8_us);
-      out << ",\n" << buf;
       std::printf("[kernels] %-20s net  batch=%d  fp32 %.1f us  int8 %.1f us  "
                   "speedup %.2fx\n",
                   name.c_str(), batch, fp32_us, int8_us, fp32_us / int8_us);
     }
   }
-
-  out << "\n  ]\n}\n";
-  std::printf("[kernels] wrote %s\n", out_path.c_str());
 }
 
 }  // namespace
 
 // Expanded BENCHMARK_MAIN() with a trailing obs profile dump: set
 // CEWS_OBS_PROFILE=1 to print where the kernel time actually went. Set
-// CEWS_BENCH_KERNELS=1 to run the packed-vs-reference GEMM sweep and write
-// BENCH_kernels.json (use --benchmark_filter=NONE to skip the google
+// CEWS_BENCH_KERNELS=1 to run the packed-vs-reference GEMM sweep and print
+// its [kernels] lines (use --benchmark_filter=NONE to skip the google
 // benchmarks and run the sweep alone).
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);

@@ -18,12 +18,8 @@
 //      process. The shards=1 vs shards=2 rows at the same rate are the
 //      scaling comparison (meaningful on multi-core hosts only; see the
 //      caveat printed at the end).
-//
-// Writes BENCH_serve.json (path overridable via CEWS_BENCH_SERVE_OUT) with
-// one record per row of both sweeps.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,40 +77,10 @@ struct OpenPoint {
   /// Per-shard admission bound and flush delay. The default bound is
   /// generous; the admission-control row shrinks it (and slows flushes) so
   /// the arrival rate provably exceeds service capacity and the sheds are
-  /// visible in the JSON.
+  /// visible in the table.
   int max_queue_depth = 256;
   int64_t delay_us = 200;
 };
-
-/// One JSON record; fields follow serve::LoadResult. `roll_p99_us` is the
-/// server-side rolling-window p99 (0 for closed-loop rows, which don't
-/// validate it) — comparable against the loadgen-measured latency_p99_us,
-/// modulo the open loop charging from scheduled arrival.
-std::string JsonRow(const char* mode, int shards, int clients, int max_batch,
-                    int threads, double arrival_rps,
-                    const serve::LoadResult& r, double roll_p99_us = 0.0,
-                    const char* precision = "fp32") {
-  char buf[704];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"mode\": \"%s\", \"precision\": \"%s\", \"shards\": %d, "
-      "\"clients\": %d, "
-      "\"max_batch\": %d, \"threads_per_shard\": %d, \"arrival_rps\": %.1f, "
-      "\"requests\": %llu, \"shed\": %llu, \"errors\": %llu, "
-      "\"offered_rps\": %.1f, \"throughput_rps\": %.1f, "
-      "\"latency_mean_us\": %.1f, \"latency_p50_us\": %.1f, "
-      "\"latency_p95_us\": %.1f, \"latency_p99_us\": %.1f, "
-      "\"latency_p999_us\": %.1f, \"roll_p99_us\": %.1f, "
-      "\"mean_batch\": %.2f}",
-      mode, precision, shards, clients, max_batch, threads, arrival_rps,
-      static_cast<unsigned long long>(r.requests),
-      static_cast<unsigned long long>(r.shed),
-      static_cast<unsigned long long>(r.errors), r.offered_rps,
-      r.throughput_rps, r.latency_mean_us, r.latency_p50_us,
-      r.latency_p95_us, r.latency_p99_us, r.latency_p999_us, roll_p99_us,
-      r.mean_batch);
-  return buf;
-}
 
 }  // namespace
 
@@ -122,7 +88,6 @@ int main() {
   const env::Map map = BenchMap();
   const env::EnvConfig env_config;
   const serve::FleetConfig base = BaseFleet(map, env_config);
-  std::vector<std::string> json_rows;
 
   // -------------------------------------------------------------------
   // Part 1: closed-loop batching sweep (single shard, unbounded queue —
@@ -174,8 +139,6 @@ int main() {
                          Table::Fmt(r.latency_p95_us, 1),
                          Table::Fmt(r.latency_p99_us, 1),
                          Table::Fmt(r.mean_batch, 2)});
-    json_rows.push_back(JsonRow("closed", 1, point.clients, point.max_batch,
-                                point.threads, 0.0, r));
   }
   std::printf("closed-loop batching sweep (1 shard):\n%s\n",
               closed_table.ToString().c_str());
@@ -266,8 +229,6 @@ int main() {
                        Table::Fmt(r.latency_p999_us, 1),
                        Table::Fmt(roll_p99_us, 1),
                        Table::Fmt(r.mean_batch, 2)});
-    json_rows.push_back(JsonRow("open", point.shards, point.clients, 8, 1,
-                                point.arrival_rps, r, roll_p99_us));
   }
   std::printf("open-loop fleet sweep (Poisson arrivals, max_queue=256):\n%s\n",
               open_table.ToString().c_str());
@@ -318,24 +279,9 @@ int main() {
                        Table::Fmt(r.latency_p50_us, 1),
                        Table::Fmt(r.latency_p99_us, 1),
                        Table::Fmt(r.mean_batch, 2)});
-    json_rows.push_back(JsonRow("closed_precision", 1, 16, 16, 1, 0.0, r,
-                                0.0, serve::PrecisionName(prec)));
   }
   std::printf("precision comparison (closed loop, equal config):\n%s\n",
               prec_table.ToString().c_str());
-
-  std::string out_path = "BENCH_serve.json";
-  if (const char* p = std::getenv("CEWS_BENCH_SERVE_OUT")) out_path = p;
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"serve_fleet_sweep\",\n  \"hardware_threads\": "
-      << std::thread::hardware_concurrency()
-      << ",\n  \"threads_used\": " << std::thread::hardware_concurrency()
-      << ",\n  \"rows\": [\n";
-  for (size_t i = 0; i < json_rows.size(); ++i) {
-    out << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::printf("json -> %s\n", out_path.c_str());
 
   std::printf(
       "hardware threads: %u. On a single-core host the multi-shard and\n"

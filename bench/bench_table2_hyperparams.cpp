@@ -34,12 +34,12 @@ int main() {
       options.episodes = episodes;
       options.num_employees = employees;
       options.batch_size = batch;
-      core::DrlCews system(
+      const std::unique_ptr<core::DrlCews> system = bench::MakeSystem(
           core::MakeTrainerConfig(core::Algorithm::kDrlCews,
                                   bench::BenchEnvConfig(), options),
           map);
-      system.Train();
-      const agents::EvalResult r = system.Evaluate(options.eval_episodes);
+      system->Train();
+      const agents::EvalResult r = system->Evaluate(options.eval_episodes);
       kappa_row.push_back(Table::Fmt(r.kappa));
       xi_row.push_back(Table::Fmt(r.xi));
       rho_row.push_back(Table::Fmt(r.rho));

@@ -9,12 +9,14 @@
 #define CEWS_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "common/env_flags.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/algorithms.h"
+#include "core/drl_cews.h"
 #include "env/map.h"
 #include "obs/metrics.h"
 
@@ -41,6 +43,15 @@ inline env::Map MakeBenchMap(const env::MapConfig& config, uint64_t seed) {
   auto result = env::GenerateMap(config, rng);
   CEWS_CHECK(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// Builds the DRL-CEWS system; aborts on config errors (benches are
+/// trusted).
+inline std::unique_ptr<core::DrlCews> MakeSystem(
+    const agents::TrainerConfig& config, const env::Map& map) {
+  auto system = core::DrlCews::Create(config, map);
+  CEWS_CHECK(system.ok()) << system.status().ToString();
+  return std::move(system).value();
 }
 
 /// Environment config sized for the current mode (quick: shorter horizon).

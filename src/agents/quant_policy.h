@@ -35,7 +35,7 @@
 // (tests/agents_quant_forward_test.cc pins both against that lowering).
 // The contract covers finite states. A NaN can change a pixel's scale (the
 // absmax passes take their maxima in different orders), so NaN states are
-// outside it; serve::PolicyServer rejects a state holding a NaN or an
+// outside it; every serve::Fleet shard rejects a state holding a NaN or an
 // infinity before it reaches a forward.
 //
 // The bundle is immutable and shared: unlike the fp32 serve path (which

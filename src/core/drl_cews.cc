@@ -12,7 +12,7 @@ namespace cews::core {
 
 namespace {
 
-/// Shared validation behind Create() (Status) and the constructor (CHECK).
+/// The validation behind Create().
 Status ValidateTrainerConfig(const agents::TrainerConfig& config,
                              const env::Map& map) {
   if (config.num_employees <= 0) {
@@ -70,16 +70,6 @@ Status ValidateTrainerConfig(const agents::TrainerConfig& config,
   return Status::OK();
 }
 
-/// Runs the Create()-style validation in the legacy constructor path,
-/// aborting with the same diagnostic on failure.
-env::Map ValidatedMapOrDie(const agents::TrainerConfig& config,
-                           env::Map map) {
-  const Status status = ValidateTrainerConfig(config, map);
-  CEWS_CHECK(status.ok()) << "invalid DrlCews configuration: "
-                          << status.ToString();
-  return map;
-}
-
 }  // namespace
 
 agents::TrainerConfig DrlCews::DefaultConfig() {
@@ -101,12 +91,11 @@ agents::TrainerConfig DrlCews::DefaultConfig() {
 Result<std::unique_ptr<DrlCews>> DrlCews::Create(
     const agents::TrainerConfig& config, env::Map map) {
   CEWS_RETURN_IF_ERROR(ValidateTrainerConfig(config, map));
-  // The constructor revalidates (cheap) and cannot fail past this point.
   return std::unique_ptr<DrlCews>(new DrlCews(config, std::move(map)));
 }
 
 DrlCews::DrlCews(const agents::TrainerConfig& config, env::Map map)
-    : map_(ValidatedMapOrDie(config, std::move(map))),
+    : map_(std::move(map)),
       encoder_(config.encoder),
       trainer_(std::make_unique<agents::ChiefEmployeeTrainer>(config, map_)),
       eval_rng_(config.seed * 0xC0FFEEULL + 1) {}
@@ -145,7 +134,7 @@ Status DrlCews::SaveCheckpoint(const std::string& path) const {
   CEWS_RETURN_IF_ERROR(
       nn::SaveParameters(path, trainer_->global_net().Parameters(), &info));
   // Path + size + checksum, so operators can correlate a server-side hot
-  // reload (serve::PolicyServer::PublishFromFile) with this trainer output.
+  // reload (serve::Fleet::PublishFromFile) with this trainer output.
   CEWS_LOG(Info) << "checkpoint -> " << path << " (" << info.bytes
                  << " bytes, crc32 " << std::hex << info.crc32 << ")";
   return Status::OK();

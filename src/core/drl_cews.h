@@ -33,13 +33,10 @@ class DrlCews {
   /// InvalidArgument describing the first problem instead of aborting —
   /// the entry point for callers handling untrusted configs (CLI, tests).
   /// Any valid TrainerConfig is accepted (ablations flip reward/intrinsic
-  /// modes); DefaultConfig() is DRL-CEWS proper.
+  /// modes); DefaultConfig() is DRL-CEWS proper. The only way to build one.
   static Result<std::unique_ptr<DrlCews>> Create(
       const agents::TrainerConfig& config, env::Map map);
 
-  /// Constructs directly, CHECK-aborting on the same problems Create()
-  /// reports as a Status. Prefer Create() for new code.
-  DrlCews(const agents::TrainerConfig& config, env::Map map);
   ~DrlCews();
 
   DrlCews(const DrlCews&) = delete;
@@ -71,6 +68,9 @@ class DrlCews {
   const env::Map& map() const { return map_; }
 
  private:
+  /// `config` is valid for `map` (Create checked it).
+  DrlCews(const agents::TrainerConfig& config, env::Map map);
+
   env::Map map_;
   env::StateEncoder encoder_;
   std::unique_ptr<agents::ChiefEmployeeTrainer> trainer_;

@@ -121,8 +121,8 @@ Status DeployLoop::MaybePublish(int iteration, const agents::PolicyNet& net) {
 
   CEWS_RETURN_IF_ERROR(
       nn::SaveParameters(options_.snapshot_path, net.Parameters()));
-  CEWS_RETURN_IF_ERROR(fleet_->PublishFromFile(
-      options_.scenario, options_.snapshot_path, /*require_crc=*/true));
+  CEWS_RETURN_IF_ERROR(
+      fleet_->PublishFromFile(options_.scenario, options_.snapshot_path));
   published_score_ = score;
   has_published_ = true;
   ++accepted_;

@@ -7,8 +7,8 @@
 // score: a candidate that regressed by more than `min_delta` is rejected
 // and the fleet keeps serving the previous snapshot. An accepted candidate
 // is crash-safe-saved (nn::SaveParameters tmp+rename) and published into
-// the live serve::Fleet from that file with require_crc set — the serving
-// path only ever loads what the integrity check passed.
+// the live serve::Fleet from that file — the serving path only ever loads
+// what the CRC check passed.
 #ifndef CEWS_DIST_DEPLOY_LOOP_H_
 #define CEWS_DIST_DEPLOY_LOOP_H_
 

@@ -91,9 +91,7 @@ ParamUpdate LearnerCore::CurrentParams(uint64_t iteration) const {
 }
 
 Status LearnerCore::LoadPolicy(const std::string& path) {
-  nn::LoadOptions options;
-  options.require_crc = true;
-  return nn::LoadParameters(path, models_.agent.Parameters(), options);
+  return nn::LoadParameters(path, models_.agent.Parameters());
 }
 
 agents::LossStats LearnerCore::Learn(
@@ -296,6 +294,7 @@ Status ChiefServer::Run(DistTrainResult* result, DeployLoop* deploy) {
             std::to_string(payload.iteration) + ", expected rank " +
             std::to_string(rank) + " iteration " + std::to_string(it));
       }
+      CEWS_RETURN_IF_ERROR(ValidateRollout(payload, config_.trainer));
       payloads.push_back(std::move(payload));
     }
     MergedRollout merged;

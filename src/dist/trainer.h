@@ -75,10 +75,9 @@ struct DistTrainerConfig {
   int liveness_timeout_ms = 120000;
 
   /// Optional warm-start checkpoint the chief loads into the global policy
-  /// before the first broadcast. Loaded in STRICT mode (LoadOptions::
-  /// require_crc): the distributed path fans these parameters out to every
-  /// employee, so a footer-less file with no integrity check is rejected.
-  /// Employees never read it — they get the values via the broadcast.
+  /// before the first broadcast (CRC-checked by nn::LoadParameters, so no
+  /// unverified file is fanned out to the employees). Employees never read
+  /// it — they get the values via the broadcast.
   std::string init_checkpoint;
 };
 
@@ -142,7 +141,7 @@ class LearnerCore {
 
   const agents::PolicyNet& net() const { return models_.agent.net(); }
 
-  /// Strict (CRC-required) warm-start load into the global policy. See
+  /// Warm-start load into the global policy. See
   /// DistTrainerConfig::init_checkpoint.
   Status LoadPolicy(const std::string& path);
 
@@ -186,7 +185,8 @@ class ChiefServer {
   /// Accepts all employees, runs every iteration, shuts employees down.
   /// `deploy` (may be null) gets MaybePublish after each iteration.
   /// Any employee failure (handshake mismatch, liveness timeout, corrupt
-  /// frame) aborts the run with the underlying error.
+  /// frame, a rollout that does not fit the config — ValidateRollout)
+  /// aborts the run with the underlying error.
   Status Run(DistTrainResult* result, DeployLoop* deploy = nullptr);
 
  private:

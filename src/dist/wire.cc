@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/crc32.h"
+#include "env/state_encoder.h"
 
 namespace cews::dist {
 
@@ -300,6 +301,69 @@ Result<RolloutPayload> UnpackRollout(const std::string& payload) {
         "dist payload corrupt: trailing bytes in rollout");
   }
   return out;
+}
+
+Status ValidateRollout(const RolloutPayload& payload,
+                       const agents::TrainerConfig& config) {
+  const auto misfit = [](const std::string& what) {
+    return Status::IOError("dist rollout does not fit the config: " + what);
+  };
+  const env::StateEncoder encoder(config.encoder);
+  const size_t state_size = static_cast<size_t>(encoder.StateSize());
+  const int cells = encoder.NumCells();
+  const int workers = config.net.num_workers;
+  const int moves = config.net.num_moves;
+  if (payload.buffers.size() !=
+      static_cast<size_t>(config.envs_per_employee)) {
+    return misfit(std::to_string(payload.buffers.size()) + " buffers, " +
+                  std::to_string(config.envs_per_employee) + " expected");
+  }
+  for (const agents::RolloutBuffer& buffer : payload.buffers) {
+    if (buffer.size() != static_cast<size_t>(config.env.horizon)) {
+      return misfit("a buffer holds " + std::to_string(buffer.size()) +
+                    " transitions, horizon is " +
+                    std::to_string(config.env.horizon));
+    }
+    if (buffer.advantages().empty()) {
+      return misfit("a buffer carries no advantages");
+    }
+    for (size_t i = 0; i < buffer.size(); ++i) {
+      const agents::Transition& t = buffer[i];
+      if (t.state.size() != state_size) {
+        return misfit("state of " + std::to_string(t.state.size()) +
+                      " floats, encoder makes " + std::to_string(state_size));
+      }
+      if (t.moves.size() != static_cast<size_t>(workers) ||
+          t.charges.size() != static_cast<size_t>(workers)) {
+        return misfit(std::to_string(t.moves.size()) + " moves and " +
+                      std::to_string(t.charges.size()) + " charges, " +
+                      std::to_string(workers) + " workers expected");
+      }
+      for (int w = 0; w < workers; ++w) {
+        const int move = t.moves[static_cast<size_t>(w)];
+        const int charge = t.charges[static_cast<size_t>(w)];
+        if (move < 0 || move >= moves) {
+          return misfit("move index " + std::to_string(move) +
+                        " outside [0, " + std::to_string(moves) + ")");
+        }
+        if (charge != 0 && charge != 1) {
+          return misfit("charge index " + std::to_string(charge) +
+                        " outside {0, 1}");
+        }
+      }
+    }
+  }
+  for (const agents::CuriositySample& s : payload.samples) {
+    if (s.worker < 0 || s.worker >= workers || s.move < 0 ||
+        s.move >= moves || s.from.cell < 0 || s.from.cell >= cells ||
+        s.to.cell < 0 || s.to.cell >= cells) {
+      return misfit("curiosity sample (worker " + std::to_string(s.worker) +
+                    ", cells " + std::to_string(s.from.cell) + " -> " +
+                    std::to_string(s.to.cell) + ", move " +
+                    std::to_string(s.move) + ") out of range");
+    }
+  }
+  return Status::OK();
 }
 
 uint64_t ConfigHash(const agents::TrainerConfig& config,

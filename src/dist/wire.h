@@ -71,6 +71,17 @@ Result<ParamUpdate> UnpackParams(const std::string& payload);
 std::string PackRollout(const RolloutPayload& payload);
 Result<RolloutPayload> UnpackRollout(const std::string& payload);
 
+/// Checks a decoded rollout against the receiver's normalized `config`
+/// (IOError naming the first misfit): envs_per_employee buffers of
+/// env.horizon transitions each (an episode is exactly horizon steps), all
+/// with advantages; states of the encoder's size; num_workers moves in
+/// [0, num_moves) and charges in {0, 1} per transition; curiosity samples
+/// whose worker, cells and move are in range. UnpackRollout checks only
+/// lengths, and the learner CHECK-aborts on data shaped for another
+/// problem, so the chief runs this on every payload before learning.
+Status ValidateRollout(const RolloutPayload& payload,
+                       const agents::TrainerConfig& config);
+
 /// Fingerprint of the training problem: every TrainerConfig field that
 /// shapes the computation plus the full map geometry, CRC-folded. Two
 /// processes with equal hashes run the same problem; the handshake rejects

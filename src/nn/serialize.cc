@@ -15,7 +15,6 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'E', 'W', 'S', 'P', 'A', 'R', '1'};
 // Footer: 4-byte tag + CRC-32 (little-endian) over every preceding byte.
-// Appended after the payload so legacy footer-less files stay readable.
 constexpr char kFooterTag[4] = {'C', 'R', 'C', '1'};
 constexpr size_t kFooterSize = sizeof(kFooterTag) + sizeof(uint32_t);
 
@@ -104,8 +103,7 @@ Status SaveParameters(const std::string& path,
 }
 
 Status LoadParameters(const std::string& path,
-                      const std::vector<Tensor>& params,
-                      const LoadOptions& options) {
+                      const std::vector<Tensor>& params) {
   std::string buf;
   {
     std::ifstream in(path, std::ios::binary);
@@ -116,41 +114,34 @@ Status LoadParameters(const std::string& path,
     buf = std::move(contents).str();
   }
 
-  // Footer detection: a file written by the current SaveParameters ends
-  // with the tag + CRC; verify the checksum before trusting a single
-  // header field. Files without the tag are legacy "CEWSPAR1" checkpoints
-  // (pre-footer writer) and are parsed as-is, with no integrity check.
-  size_t payload_end = buf.size();
-  const bool has_footer =
-      buf.size() >= kFooterSize &&
-      std::memcmp(buf.data() + buf.size() - kFooterSize, kFooterTag,
-                  sizeof(kFooterTag)) == 0;
-  if (options.require_crc && !has_footer) {
-    return Status::FailedPrecondition(
-        path + ": no CRC32 footer (legacy pre-footer checkpoint); this "
-               "load path requires integrity-checked files — re-save the "
-               "checkpoint with the current writer");
-  }
-  if (has_footer) {
-    payload_end = buf.size() - kFooterSize;
-    uint32_t stored = 0;
-    std::memcpy(&stored, buf.data() + buf.size() - sizeof(stored),
-                sizeof(stored));
-    const uint32_t actual = ComputeCrc32(buf.data(), payload_end);
-    if (stored != actual) {
-      std::ostringstream msg;
-      msg << path << ": CRC32 mismatch (stored " << std::hex << stored
-          << ", computed " << actual << ") — checkpoint is corrupt";
-      return Status::IOError(msg.str());
-    }
-  }
-
-  ByteReader reader(buf.data(), payload_end);
-  char magic[8];
-  if (!reader.Read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (buf.size() < sizeof(kMagic) ||
+      std::memcmp(buf.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument(path + ": not a CEWS parameter file");
   }
+  // Every file SaveParameters writes ends with the tag + CRC; verify the
+  // checksum before trusting a single header field.
+  if (buf.size() < sizeof(kMagic) + kFooterSize ||
+      std::memcmp(buf.data() + buf.size() - kFooterSize, kFooterTag,
+                  sizeof(kFooterTag)) != 0) {
+    return Status::IOError(
+        path + ": no CRC32 footer (truncated, or written before the "
+               "footer existed); re-save the checkpoint with the current "
+               "writer");
+  }
+  const size_t payload_end = buf.size() - kFooterSize;
+  uint32_t stored = 0;
+  std::memcpy(&stored, buf.data() + payload_end + sizeof(kFooterTag),
+              sizeof(stored));
+  const uint32_t actual = ComputeCrc32(buf.data(), payload_end);
+  if (stored != actual) {
+    std::ostringstream msg;
+    msg << path << ": CRC32 mismatch (stored " << std::hex << stored
+        << ", computed " << actual << ") — checkpoint is corrupt";
+    return Status::IOError(msg.str());
+  }
+
+  ByteReader reader(buf.data() + sizeof(kMagic),
+                    payload_end - sizeof(kMagic));
   uint64_t count = 0;
   if (!reader.Read(&count, sizeof(count))) {
     return Status::IOError(path + ": truncated header");

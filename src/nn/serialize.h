@@ -31,30 +31,19 @@ Status SaveParameters(const std::string& path,
                       const std::vector<Tensor>& params,
                       SaveInfo* info = nullptr);
 
-/// Load-time policy knobs.
-struct LoadOptions {
-  /// Rejects (FailedPrecondition) any file without the CRC32 footer. Legacy
-  /// footer-less checkpoints carry no integrity check at all, so paths that
-  /// fan parameters out further — the distributed trainer's broadcast, the
-  /// fleet publish loop — must never accept one: a torn or ancient file
-  /// would otherwise replicate to every employee / shard unverified.
-  bool require_crc = false;
-};
-
 /// Loads a checkpoint written by SaveParameters into the given parameter
 /// list. Shapes must match exactly (same architecture). Nothing is written
 /// unless the whole file is valid: a rejected file leaves every parameter
 /// as it was.
 ///
-/// When the CRC32 footer is present it is verified before any tensor is
-/// touched; legacy footer-less "CEWSPAR1" files are still accepted (no
-/// integrity check is possible for those) unless options.require_crc is
-/// set. Corrupt or truncated files are rejected with a descriptive Status —
-/// header fields are bounds-checked (ndim, dims, payload size) before any
-/// allocation sized from them.
+/// The CRC32 footer is required and verified before any header field is
+/// trusted: a file without it (truncated, or written before the footer
+/// existed) is rejected with IOError, so no unverified checkpoint reaches
+/// a trainer, a broadcast or a live fleet. Corrupt files are rejected with
+/// a descriptive Status — header fields are bounds-checked (ndim, dims,
+/// payload size) before any allocation sized from them.
 Status LoadParameters(const std::string& path,
-                      const std::vector<Tensor>& params,
-                      const LoadOptions& options = LoadOptions{});
+                      const std::vector<Tensor>& params);
 
 }  // namespace cews::nn
 

@@ -50,8 +50,8 @@ inline constexpr int kFlightDetailBytes = kFlightDetailWords * 8;
 
 enum class FlightEventKind : uint32_t {
   kNone = 0,      ///< empty slot (never recorded)
-  kServerStart,   ///< a PolicyServer began serving (a = shard index)
-  kServerStop,    ///< a PolicyServer stopped (a = shard index)
+  kServerStart,   ///< a fleet shard began serving (a = shard index)
+  kServerStop,    ///< a fleet shard stopped (a = shard index)
   kPublish,       ///< model params published (a = new epoch)
   kEpochSwap,     ///< a worker swapped its replica (a = shard, b = epoch)
   kShed,          ///< overload shed, sampled (a = shard, b = shed count)

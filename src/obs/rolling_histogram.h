@@ -52,8 +52,7 @@ inline constexpr int kMaxWindowSeconds = kRollingSlots - 2;
 /// Creation cap. Headroom math (mirrors kMaxCounters/kMaxHistograms): a
 /// full-size serving fleet mints one rolling histogram per shard
 /// (serve.shard.N.latency, N < 64 by Fleet::Create) plus the fleet-wide
-/// serve.fleet.latency and the standalone serve.latency; 80 leaves ~14
-/// slots for future windowed sources.
+/// serve.fleet.latency; 80 leaves ~15 slots for future windowed sources.
 inline constexpr int kMaxRollingHistograms = 80;
 
 class RollingHistogram {

@@ -14,16 +14,14 @@ namespace cews::obs {
 
 namespace {
 
-/// The latency source: the fleet-wide rolling histogram when a fleet is
-/// serving, the standalone one otherwise. Resolved per evaluation because
-/// the histograms are minted lazily on first request.
+/// The latency source: the fleet-wide rolling histogram, or nullptr before
+/// a fleet has been created. Resolved per evaluation because the histogram
+/// is minted lazily by the first shard.
 RollingHistogram* FindLatencySource() {
-  RollingHistogram* standalone = nullptr;
   for (RollingHistogram* hist : AllRollingHistograms()) {
     if (hist->name() == "serve.fleet.latency") return hist;
-    if (hist->name() == "serve.latency") standalone = hist;
   }
-  return standalone;
+  return nullptr;
 }
 
 double PercentileFor(SloKind kind) {
@@ -153,8 +151,7 @@ std::vector<SloStatus> SloMonitor::Evaluate(uint64_t now_ns) {
 
   // Shed-ratio inputs are shared across targets: read the counters once.
   // serve.requests counts accepted submits; serve.fleet.shed_total counts
-  // sheds from every shard (and standalone servers), so attempted =
-  // accepted + shed.
+  // sheds from every shard, so attempted = accepted + shed.
   const MetricsSnapshot snap = SnapshotMetrics();
   const uint64_t shed = snap.CounterValue("serve.fleet.shed_total");
   const uint64_t accepted = snap.CounterValue("serve.requests");

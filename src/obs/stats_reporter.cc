@@ -86,7 +86,7 @@ std::string StatsReporter::FormatHeartbeat(const MetricsSnapshot& prev,
                            prev.CounterValue("serve.fleet.shed_total");
     double max_depth = 0.0;
     for (const GaugeSnapshot& g : cur.gauges) {
-      // serve.queue_depth (standalone) or serve.shard.N.queue_depth.
+      // serve.shard.N.queue_depth.
       const std::string suffix = "queue_depth";
       if (g.name.size() >= suffix.size() && g.name.rfind("serve.", 0) == 0 &&
           g.name.compare(g.name.size() - suffix.size(), suffix.size(),

@@ -55,10 +55,9 @@ enum class PushResult {
 /// Thread-safe for any number of producers (Push) and consumers (PopBatch).
 class RequestBatcher {
  public:
-  /// `max_depth` bounds the queue (0 = unbounded, the legacy standalone
-  /// behavior). `depth_gauge`, when non-null, tracks the instantaneous
-  /// queue length (a fleet passes its per-shard serve.shard.N.queue_depth
-  /// gauge; nullptr skips telemetry).
+  /// `max_depth` bounds the queue (0 = unbounded). `depth_gauge`, when
+  /// non-null, tracks the instantaneous queue length (a shard passes its
+  /// serve.shard.N.queue_depth gauge; nullptr skips telemetry).
   RequestBatcher(int max_batch, int64_t max_queue_delay_us,
                  int max_depth = 0, obs::Gauge* depth_gauge = nullptr);
 

@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "serve/server.h"
 
 namespace cews::serve {
 
@@ -20,6 +21,15 @@ namespace {
 constexpr int kMaxShards = 64;
 
 Status ValidateFleetConfig(const FleetConfig& config) {
+  if (config.net.grid <= 0 || config.net.in_channels <= 0 ||
+      config.net.num_workers <= 0 || config.net.num_moves <= 0) {
+    return Status::InvalidArgument(
+        "net dimensions must be positive (grid " +
+        std::to_string(config.net.grid) + ", channels " +
+        std::to_string(config.net.in_channels) + ", workers " +
+        std::to_string(config.net.num_workers) + ", moves " +
+        std::to_string(config.net.num_moves) + ")");
+  }
   if (config.num_shards <= 0 || config.num_shards > kMaxShards) {
     return Status::InvalidArgument(
         "num_shards must be in [1, " + std::to_string(kMaxShards) +
@@ -30,10 +40,29 @@ Status ValidateFleetConfig(const FleetConfig& config) {
         "threads_per_shard must be positive, got " +
         std::to_string(config.threads_per_shard));
   }
+  if (config.max_batch <= 0) {
+    return Status::InvalidArgument("max_batch must be positive, got " +
+                                   std::to_string(config.max_batch));
+  }
+  if (config.max_queue_delay_us < 0) {
+    return Status::InvalidArgument(
+        "max_queue_delay_us must be non-negative, got " +
+        std::to_string(config.max_queue_delay_us));
+  }
+  if (config.max_queue_depth < 0) {
+    return Status::InvalidArgument(
+        "max_queue_depth must be non-negative (0 = unbounded), got " +
+        std::to_string(config.max_queue_depth));
+  }
   if (config.vnodes_per_shard <= 0) {
     return Status::InvalidArgument(
         "vnodes_per_shard must be positive, got " +
         std::to_string(config.vnodes_per_shard));
+  }
+  if (config.runtime_threads < 0) {
+    return Status::InvalidArgument(
+        "runtime_threads must be non-negative (0 = hardware cores), got " +
+        std::to_string(config.runtime_threads));
   }
   if (config.scenarios.empty()) {
     return Status::InvalidArgument("scenarios must be non-empty");
@@ -47,29 +76,30 @@ Status ValidateFleetConfig(const FleetConfig& config) {
       return Status::InvalidArgument("duplicate scenario '" + name + "'");
     }
   }
-  // Net dims, batch and queue bounds are validated by the per-shard
-  // PolicyServer::Create below; checking shard-level knobs here keeps the
-  // error messages attributable to the fleet entry point.
   return Status::OK();
 }
 
 }  // namespace
 
+const char* PrecisionName(Precision precision) {
+  switch (precision) {
+    case Precision::kFp32:
+      return "fp32";
+    case Precision::kInt8:
+      return "int8";
+  }
+  return "unknown";
+}
+
+Result<Precision> ParsePrecision(const std::string& name) {
+  if (name == "fp32") return Precision::kFp32;
+  if (name == "int8") return Precision::kInt8;
+  return Status::InvalidArgument("unknown precision '" + name +
+                                 "' (expected fp32 or int8)");
+}
+
 Result<std::unique_ptr<Fleet>> Fleet::Create(const FleetConfig& config) {
   CEWS_RETURN_IF_ERROR(ValidateFleetConfig(config));
-
-  PolicyServerConfig shard_config;
-  shard_config.net = config.net;
-  shard_config.num_threads = config.threads_per_shard;
-  shard_config.max_batch = config.max_batch;
-  shard_config.max_queue_delay_us = config.max_queue_delay_us;
-  shard_config.max_queue_depth = config.max_queue_depth;
-  shard_config.runtime_threads = config.runtime_threads;
-  shard_config.precision = config.precision;
-
-  // One validation pass before any net or thread is constructed: shard 0's
-  // config stands in for all (they differ only in shard_index and seed).
-  CEWS_RETURN_IF_ERROR(PolicyServer::ValidateConfig(shard_config));
 
   // Epoch-0 parameters shared by every scenario: a freshly initialized net
   // from the fleet seed (cloned per scenario by the registry).
@@ -86,19 +116,7 @@ Result<std::unique_ptr<Fleet>> Fleet::Create(const FleetConfig& config) {
   // ParallelFor regions (same contract as the trainers).
   runtime::SetGlobalPoolThreads(config.runtime_threads);
 
-  std::vector<std::unique_ptr<PolicyServer>> shards;
-  shards.reserve(static_cast<size_t>(config.num_shards));
-  for (int s = 0; s < config.num_shards; ++s) {
-    PolicyServerConfig one = shard_config;
-    one.shard_index = s;
-    // Decorrelate the shards' sampling streams (workers further split by
-    // worker index).
-    one.seed = config.seed + 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(s);
-    CEWS_ASSIGN_OR_RETURN(std::unique_ptr<PolicyServer> shard,
-                          PolicyServer::Create(one, scenarios));
-    shards.push_back(std::move(shard));
-  }
-
+  std::unique_ptr<Fleet> fleet(new Fleet(config, std::move(scenarios)));
   static obs::Gauge* const shard_gauge = obs::GetGauge("serve.fleet.shards");
   shard_gauge->Set(static_cast<double>(config.num_shards));
   obs::FlightRecorder::Global().Record(obs::FlightEventKind::kNote,
@@ -106,17 +124,19 @@ Result<std::unique_ptr<Fleet>> Fleet::Create(const FleetConfig& config) {
                                        /*a=*/config.num_shards,
                                        /*b=*/static_cast<int64_t>(
                                            config.scenarios.size()));
-  return std::unique_ptr<Fleet>(
-      new Fleet(config, std::move(scenarios), std::move(shards)));
+  return fleet;
 }
 
 Fleet::Fleet(const FleetConfig& config,
-             std::shared_ptr<ScenarioRegistry> scenarios,
-             std::vector<std::unique_ptr<PolicyServer>> shards)
+             std::shared_ptr<ScenarioRegistry> scenarios)
     : config_(config),
       scenarios_(std::move(scenarios)),
-      router_(RouterConfig{config.num_shards, config.vnodes_per_shard}),
-      shards_(std::move(shards)) {}
+      router_(RouterConfig{config.num_shards, config.vnodes_per_shard}) {
+  shards_.reserve(static_cast<size_t>(config_.num_shards));
+  for (int s = 0; s < config_.num_shards; ++s) {
+    shards_.emplace_back(new PolicyServer(config_, s, scenarios_));
+  }
+}
 
 Fleet::~Fleet() { Stop(); }
 
@@ -137,8 +157,8 @@ Status Fleet::Publish(const std::string& scenario,
 }
 
 Status Fleet::PublishFromFile(const std::string& scenario,
-                              const std::string& path, bool require_crc) {
-  return scenarios_->PublishFromFile(scenario, path, require_crc);
+                              const std::string& path) {
+  return scenarios_->PublishFromFile(scenario, path);
 }
 
 Result<uint64_t> Fleet::Epoch(const std::string& scenario) const {

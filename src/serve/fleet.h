@@ -1,8 +1,8 @@
-// cews::serve — Fleet: the serving subsystem's public API.
+// cews::serve — Fleet: the serving subsystem's one entry point.
 //
-// A Fleet is N PolicyServer shards — each with its own RequestBatcher and
-// inference worker pool — behind a consistent-hash router keyed on
-// (client_id, scenario), all serving one shared multi-scenario
+// A Fleet is N PolicyServer shards (server.h) — each with its own
+// RequestBatcher and inference worker pool — behind a consistent-hash router
+// keyed on (client_id, scenario), all serving one shared multi-scenario
 // ScenarioRegistry (one hot-swappable, epoch-counted parameter stream per
 // named scenario, so one fleet serves many cities). The pieces compose
 // into the three guarantees the scheduler's control plane needs:
@@ -21,10 +21,7 @@
 //     (serve.fleet.shed_total).
 //
 // Fleet::Create(FleetConfig) is the single validated entry point,
-// mirroring core::DrlCews::Create. The former PolicyServer surface
-// (Submit/Publish/PublishFromFile/registry()) is an internal shard detail;
-// standalone PolicyServer construction remains only for single-shard
-// embedding and tests.
+// mirroring core::DrlCews::Create, and the only code that builds a shard.
 #ifndef CEWS_SERVE_FLEET_H_
 #define CEWS_SERVE_FLEET_H_
 
@@ -40,9 +37,29 @@
 #include "serve/model_registry.h"
 #include "serve/request.h"
 #include "serve/router.h"
-#include "serve/server.h"
 
 namespace cews::serve {
+
+/// Numeric precision of the inference forward pass.
+///
+/// kFp32: each shard worker owns a private fp32 PolicyNet replica and
+/// copies snapshot values in on epoch change. kInt8 serves the snapshot's
+/// publish-time nn::quant::QuantizedParams bundle in place through the
+/// packed int8 kernels (agents/quant_policy.h): no per-worker parameter
+/// copy, no per-request weight quantization, and the decision protocol
+/// (masking, sampling, Rng draw order) is byte-for-byte the fp32 one — only
+/// the forward arithmetic changes. Int8 serving is gated on action
+/// agreement with the fp32 reference (>= 99% argmax match over the scenario
+/// suite; enforced by tests and the deploy/CLI gates).
+enum class Precision { kFp32, kInt8 };
+
+/// "fp32" / "int8".
+const char* PrecisionName(Precision precision);
+
+/// Parses "fp32" / "int8" (InvalidArgument otherwise).
+Result<Precision> ParsePrecision(const std::string& name);
+
+class PolicyServer;
 
 struct FleetConfig {
   /// Architecture served by every shard and scenario (one fleet, one net
@@ -64,7 +81,7 @@ struct FleetConfig {
   /// overrides), applied to the global kernel pool once at Create.
   int runtime_threads = 1;
   /// Seeds the per-scenario epoch-0 parameters and the shards' sampling
-  /// streams.
+  /// streams (shard s draws from seed + 0x9E3779B97F4A7C15 * s).
   uint64_t seed = 1;
   /// Named scenarios ("cities") this fleet serves. Non-empty, unique,
   /// non-empty names; requests with an empty scenario tag resolve to
@@ -78,8 +95,8 @@ struct FleetConfig {
 
 class Fleet {
  public:
-  /// Validates the config (shard/thread/batch/queue bounds, scenario name
-  /// set, net dims) and starts every shard. All scenarios start at a
+  /// Validates the config (net dims, shard/thread/batch/queue bounds,
+  /// scenario name set) and starts every shard. All scenarios start at a
   /// freshly initialized epoch-0 model from `seed`; publish trained
   /// parameters via Publish/PublishFromFile.
   static Result<std::unique_ptr<Fleet>> Create(const FleetConfig& config);
@@ -104,11 +121,9 @@ class Fleet {
                  const std::vector<nn::Tensor>& params);
 
   /// Loads a checkpoint from disk and publishes it into one scenario (the
-  /// live model is untouched on failure). `require_crc` rejects legacy
-  /// footer-less checkpoints — automated publishers (dist::DeployLoop) set
-  /// it so only integrity-checked files ever reach a live fleet.
+  /// live model is untouched on failure; see nn::LoadParameters).
   Status PublishFromFile(const std::string& scenario,
-                         const std::string& path, bool require_crc = false);
+                         const std::string& path);
 
   /// Epoch of one scenario's current snapshot (relaxed read).
   Result<uint64_t> Epoch(const std::string& scenario) const;
@@ -141,9 +156,9 @@ class Fleet {
   void Stop();
 
  private:
+  /// Builds shard 0..num_shards-1 over `scenarios`; `config` is valid.
   Fleet(const FleetConfig& config,
-        std::shared_ptr<ScenarioRegistry> scenarios,
-        std::vector<std::unique_ptr<PolicyServer>> shards);
+        std::shared_ptr<ScenarioRegistry> scenarios);
 
   const FleetConfig config_;
   std::shared_ptr<ScenarioRegistry> scenarios_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,11 +16,6 @@
 namespace cews::serve {
 
 namespace {
-
-/// Both overloads of RunLoad drive this signature; the fleet/server
-/// distinction is one bound call.
-using SubmitFn =
-    std::function<std::future<ScheduleResponse>(ScheduleRequest)>;
 
 /// Latencies and error/shed counts one client or submitter collected.
 struct ClientTally {
@@ -53,7 +47,7 @@ void Tally(const ScheduleResponse& response, uint64_t latency_ns,
   tally.server_latency_ns.push_back(response.latency_ns);
 }
 
-void RunClosedLoopClient(const SubmitFn& submit, const env::Map& map,
+void RunClosedLoopClient(Fleet& fleet, const env::Map& map,
                          const LoadSpec& spec, int encoder_grid,
                          int client_index, ClientTally& tally) {
   env::Env env(spec.env, map);
@@ -77,7 +71,7 @@ void RunClosedLoopClient(const SubmitFn& submit, const env::Map& map,
     request.deterministic = spec.deterministic;
 
     const uint64_t start_ns = Stopwatch::NowNs();
-    const ScheduleResponse response = submit(std::move(request)).get();
+    const ScheduleResponse response = fleet.Submit(std::move(request)).get();
     ++tally.submitted;
     Tally(response, Stopwatch::NowNs() - start_ns, tally);
     if (!response.ok()) continue;  // shed/error: retry same observation
@@ -91,7 +85,7 @@ void RunClosedLoopClient(const SubmitFn& submit, const env::Map& map,
 /// completions), then harvests its futures. Latency is charged from the
 /// *scheduled* arrival — submitter lag adds to the measured latency rather
 /// than silently thinning the offered load (no coordinated omission).
-void RunOpenLoopSubmitter(const SubmitFn& submit, const env::Map& map,
+void RunOpenLoopSubmitter(Fleet& fleet, const env::Map& map,
                           const LoadSpec& spec, int encoder_grid,
                           int thread_index, ClientTally& tally) {
   struct InFlight {
@@ -154,7 +148,7 @@ void RunOpenLoopSubmitter(const SubmitFn& submit, const env::Map& map,
     InFlight flight;
     flight.intended_ns = intended_ns;
     flight.submit_ns = Stopwatch::NowNs();
-    flight.future = submit(std::move(request));
+    flight.future = fleet.Submit(std::move(request));
     in_flight.push_back(std::move(flight));
   }
 
@@ -204,9 +198,12 @@ Status ValidateSpec(const LoadSpec& spec) {
   return Status::OK();
 }
 
-Result<LoadResult> RunLoadImpl(const SubmitFn& submit, const env::Map& map,
-                               const LoadSpec& spec, int encoder_grid) {
+}  // namespace
+
+Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
+                           const LoadSpec& spec) {
   CEWS_RETURN_IF_ERROR(ValidateSpec(spec));
+  const int encoder_grid = fleet.net_config().grid;
 
   const int num_threads = spec.mode == LoadMode::kClosedLoop
                               ? spec.clients
@@ -216,12 +213,12 @@ Result<LoadResult> RunLoadImpl(const SubmitFn& submit, const env::Map& map,
   threads.reserve(static_cast<size_t>(num_threads));
   const uint64_t start_ns = Stopwatch::NowNs();
   for (int t = 0; t < num_threads; ++t) {
-    threads.emplace_back([&submit, &map, &spec, encoder_grid, t, &tallies] {
+    threads.emplace_back([&fleet, &map, &spec, encoder_grid, t, &tallies] {
       if (spec.mode == LoadMode::kClosedLoop) {
-        RunClosedLoopClient(submit, map, spec, encoder_grid, t,
+        RunClosedLoopClient(fleet, map, spec, encoder_grid, t,
                             tallies[static_cast<size_t>(t)]);
       } else {
-        RunOpenLoopSubmitter(submit, map, spec, encoder_grid, t,
+        RunOpenLoopSubmitter(fleet, map, spec, encoder_grid, t,
                              tallies[static_cast<size_t>(t)]);
       }
     });
@@ -275,26 +272,6 @@ Result<LoadResult> RunLoadImpl(const SubmitFn& submit, const env::Map& map,
           ? static_cast<double>(batch_sum) / static_cast<double>(completed)
           : 0.0;
   return result;
-}
-
-}  // namespace
-
-Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
-                           const LoadSpec& spec) {
-  return RunLoadImpl(
-      [&fleet](ScheduleRequest request) {
-        return fleet.Submit(std::move(request));
-      },
-      map, spec, fleet.net_config().grid);
-}
-
-Result<LoadResult> RunLoad(PolicyServer& server, const env::Map& map,
-                           const LoadSpec& spec) {
-  return RunLoadImpl(
-      [&server](ScheduleRequest request) {
-        return server.Submit(std::move(request));
-      },
-      map, spec, server.net_config().grid);
 }
 
 }  // namespace cews::serve

@@ -1,5 +1,5 @@
-// cews::serve — synthetic load generation against a serving Fleet (or a
-// standalone PolicyServer), in two modes:
+// cews::serve — synthetic load generation against a serving Fleet, in two
+// modes:
 //
 //   * Closed loop — N client threads, each driving its own Env through the
 //     fleet (encode → submit → wait → step), the pattern a real per-fleet
@@ -29,7 +29,6 @@
 #include "env/env.h"
 #include "env/map.h"
 #include "serve/fleet.h"
-#include "serve/server.h"
 
 namespace cews::serve {
 
@@ -112,10 +111,6 @@ struct LoadResult {
 /// (per-request server-side encoding would measure the encoder, not the
 /// serving path). Returns InvalidArgument for non-positive counts/rates.
 Result<LoadResult> RunLoad(Fleet& fleet, const env::Map& map,
-                           const LoadSpec& spec);
-
-/// Same load against a standalone single-shard PolicyServer (no routing).
-Result<LoadResult> RunLoad(PolicyServer& server, const env::Map& map,
                            const LoadSpec& spec);
 
 }  // namespace cews::serve

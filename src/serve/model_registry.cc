@@ -92,16 +92,13 @@ Status ModelRegistry::Publish(const std::vector<nn::Tensor>& params) {
   return Status::OK();
 }
 
-Status ModelRegistry::PublishFromFile(const std::string& path,
-                                      bool require_crc) {
+Status ModelRegistry::PublishFromFile(const std::string& path) {
   // Load into a scratch clone of the current snapshot: shapes are checked
   // by LoadParameters against a real parameter set, and a corrupt file
   // leaves the served model untouched.
   const std::shared_ptr<const Snapshot> snapshot = Acquire();
   std::vector<nn::Tensor> scratch = CloneParams(snapshot->params);
-  nn::LoadOptions load_options;
-  load_options.require_crc = require_crc;
-  CEWS_RETURN_IF_ERROR(nn::LoadParameters(path, scratch, load_options));
+  CEWS_RETURN_IF_ERROR(nn::LoadParameters(path, scratch));
   return Publish(scratch);
 }
 
@@ -141,13 +138,12 @@ Status ScenarioRegistry::Publish(const std::string& scenario,
 }
 
 Status ScenarioRegistry::PublishFromFile(const std::string& scenario,
-                                         const std::string& path,
-                                         bool require_crc) {
+                                         const std::string& path) {
   ModelRegistry* registry = Find(scenario);
   if (registry == nullptr) {
     return Status::NotFound("unknown scenario '" + scenario + "'");
   }
-  return registry->PublishFromFile(path, require_crc);
+  return registry->PublishFromFile(path);
 }
 
 Result<uint64_t> ScenarioRegistry::Epoch(const std::string& scenario) const {

@@ -80,12 +80,9 @@ class ModelRegistry {
   Status Publish(const std::vector<nn::Tensor>& params);
 
   /// Loads a checkpoint from disk into a scratch clone of the current
-  /// snapshot (shape-checked against a real parameter set; a corrupt file
-  /// leaves the served model untouched) and publishes it. `require_crc`
-  /// additionally rejects legacy footer-less files (nn::LoadOptions) — the
-  /// automated publish loop sets it so an unverifiable file can never be
-  /// fanned out to a live fleet.
-  Status PublishFromFile(const std::string& path, bool require_crc = false);
+  /// snapshot (CRC- and shape-checked against a real parameter set; a
+  /// corrupt file leaves the served model untouched) and publishes it.
+  Status PublishFromFile(const std::string& path);
 
   /// Epoch of the current snapshot. A dedicated relaxed counter, NOT an
   /// Acquire(): polling the epoch (admission checks, worker staleness
@@ -138,7 +135,7 @@ class ScenarioRegistry {
   Status Publish(const std::string& scenario,
                  const std::vector<nn::Tensor>& params);
   Status PublishFromFile(const std::string& scenario,
-                         const std::string& path, bool require_crc = false);
+                         const std::string& path);
 
   /// Epoch of one scenario's current snapshot; NotFound for unknown names.
   Result<uint64_t> Epoch(const std::string& scenario) const;

@@ -1,6 +1,6 @@
 // cews::serve — request/response types of the in-process policy-inference
-// service: what one client (a worker fleet's control loop) sends to the
-// PolicyServer and what it gets back.
+// service: what one client (a worker fleet's control loop) sends to a
+// serve::Fleet and what it gets back.
 #ifndef CEWS_SERVE_REQUEST_H_
 #define CEWS_SERVE_REQUEST_H_
 
@@ -32,7 +32,7 @@ struct ScheduleRequest {
   /// Stable client identity. A Fleet's consistent-hash router keys on
   /// (client_id, scenario), so every request a client sends lands on the
   /// same shard — its in-order stream shares one batcher and its latency
-  /// is not smeared across the fleet. Ignored by a standalone PolicyServer.
+  /// is not smeared across the fleet.
   uint64_t client_id = 0;
 
   /// Named scenario ("city") whose published model should decide. Empty
@@ -41,7 +41,7 @@ struct ScheduleRequest {
   std::string scenario;
 
   /// Pre-encoded state in StateEncoder layout ([channels, grid, grid]
-  /// row-major, exactly PolicyServer::StateSize() finite floats; a NaN or
+  /// row-major, exactly Fleet::StateSize() finite floats; a NaN or
   /// infinity is rejected InvalidArgument). Leave empty to have the server
   /// encode `env` instead.
   std::vector<float> state;
@@ -70,7 +70,7 @@ struct ScheduleRequest {
   /// ScheduleResponse::latency_ns stays enqueue-based. 0 = unset.
   uint64_t arrival_ns = 0;
 
-  /// Filled by PolicyServer::Submit when tracing is enabled; clients leave
+  /// Filled by the shard's Submit when tracing is enabled; clients leave
   /// it default-constructed.
   RequestTrace trace;
 };
@@ -99,9 +99,8 @@ struct ScheduleResponse {
   int batch_size = 0;
   uint64_t latency_ns = 0;
 
-  /// Fleet shard that served this request (-1 from a standalone
-  /// PolicyServer). The routing invariant — same (client_id, scenario),
-  /// same shard — is observable here.
+  /// Fleet shard that served this request. The routing invariant — same
+  /// (client_id, scenario), same shard — is observable here.
   int shard = -1;
 
   bool ok() const { return status.ok(); }

@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "nn/params.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -22,132 +21,36 @@ namespace cews::serve {
 
 namespace {
 
-/// Epoch-0 parameters: a freshly initialized network. The temporary net's
-/// tensors are cloned by the registry, so it can die here.
-std::vector<nn::Tensor> InitialParams(const PolicyServerConfig& config) {
-  Rng rng(config.seed);
-  const agents::PolicyNet net(config.net, rng);
-  return net.Parameters();
-}
-
-/// Per-shard metric names: serve.shard.N.* for fleet shards, the legacy
-/// serve.* names for standalone servers.
-std::string ShardMetricName(int shard_index, const char* suffix) {
-  if (shard_index < 0) return std::string("serve.") + suffix;
-  return "serve.shard." + std::to_string(shard_index) + "." + suffix;
+/// Per-shard metric name serve.shard.N.<suffix>.
+std::string ShardMetricName(int shard, const char* suffix) {
+  return "serve.shard." + std::to_string(shard) + "." + suffix;
 }
 
 }  // namespace
 
-const char* PrecisionName(Precision precision) {
-  switch (precision) {
-    case Precision::kFp32:
-      return "fp32";
-    case Precision::kInt8:
-      return "int8";
-  }
-  return "unknown";
-}
-
-Result<Precision> ParsePrecision(const std::string& name) {
-  if (name == "fp32") return Precision::kFp32;
-  if (name == "int8") return Precision::kInt8;
-  return Status::InvalidArgument("unknown precision '" + name +
-                                 "' (expected fp32 or int8)");
-}
-
-Status PolicyServer::ValidateConfig(const PolicyServerConfig& config) {
-  if (config.net.grid <= 0 || config.net.in_channels <= 0 ||
-      config.net.num_workers <= 0 || config.net.num_moves <= 0) {
-    return Status::InvalidArgument(
-        "net dimensions must be positive (grid " +
-        std::to_string(config.net.grid) + ", channels " +
-        std::to_string(config.net.in_channels) + ", workers " +
-        std::to_string(config.net.num_workers) + ", moves " +
-        std::to_string(config.net.num_moves) + ")");
-  }
-  if (config.num_threads <= 0) {
-    return Status::InvalidArgument("num_threads must be positive, got " +
-                                   std::to_string(config.num_threads));
-  }
-  if (config.max_batch <= 0) {
-    return Status::InvalidArgument("max_batch must be positive, got " +
-                                   std::to_string(config.max_batch));
-  }
-  if (config.max_queue_delay_us < 0) {
-    return Status::InvalidArgument(
-        "max_queue_delay_us must be non-negative, got " +
-        std::to_string(config.max_queue_delay_us));
-  }
-  if (config.max_queue_depth < 0) {
-    return Status::InvalidArgument(
-        "max_queue_depth must be non-negative (0 = unbounded), got " +
-        std::to_string(config.max_queue_depth));
-  }
-  if (config.runtime_threads < 0) {
-    return Status::InvalidArgument(
-        "runtime_threads must be non-negative (0 = hardware cores), got " +
-        std::to_string(config.runtime_threads));
-  }
-  return Status::OK();
-}
-
-Result<std::unique_ptr<PolicyServer>> PolicyServer::Create(
-    const PolicyServerConfig& config) {
-  CEWS_RETURN_IF_ERROR(ValidateConfig(config));
-  // Size the intra-op kernel pool before inference threads start issuing
-  // ParallelFor regions (same contract as the trainers).
-  runtime::SetGlobalPoolThreads(config.runtime_threads);
-  auto scenarios = std::make_shared<ScenarioRegistry>(
-      std::vector<std::string>{ScenarioRegistry::kDefaultScenario},
-      InitialParams(config),
-      /*quantize=*/config.precision == Precision::kInt8);
-  return std::unique_ptr<PolicyServer>(
-      new PolicyServer(config, std::move(scenarios)));
-}
-
-Result<std::unique_ptr<PolicyServer>> PolicyServer::Create(
-    const PolicyServerConfig& config,
-    std::shared_ptr<ScenarioRegistry> scenarios) {
-  CEWS_RETURN_IF_ERROR(ValidateConfig(config));
-  if (scenarios == nullptr) {
-    return Status::InvalidArgument("scenario registry must be non-null");
-  }
-  if (config.precision == Precision::kInt8 && !scenarios->quantizes()) {
-    return Status::InvalidArgument(
-        "int8 shard requires a registry built with quantize=true");
-  }
-  return std::unique_ptr<PolicyServer>(
-      new PolicyServer(config, std::move(scenarios)));
-}
-
-PolicyServer::PolicyServer(const PolicyServerConfig& config,
+PolicyServer::PolicyServer(const FleetConfig& config, int shard,
                            std::shared_ptr<ScenarioRegistry> scenarios)
     : config_(config),
+      shard_(shard),
+      seed_(config.seed +
+            0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(shard)),
       encoder_(env::StateEncoderConfig{config.net.grid}),
       scenarios_(std::move(scenarios)),
-      default_registry_(scenarios_->Find("") != nullptr
-                            ? scenarios_->Find("")
-                            : scenarios_->Find(scenarios_->names().front())),
-      depth_gauge_(obs::GetGauge(
-          ShardMetricName(config.shard_index, "queue_depth"))),
-      shed_counter_(obs::GetCounter(
-          ShardMetricName(config.shard_index, "shed"))),
-      latency_hist_(obs::GetHistogram(
-          ShardMetricName(config.shard_index, "latency_ns"))),
-      rolling_latency_(obs::GetRollingHistogram(
-          ShardMetricName(config.shard_index, "latency"))),
-      fleet_rolling_latency_(config.shard_index >= 0
-                                 ? obs::GetRollingHistogram(
-                                       "serve.fleet.latency")
-                                 : nullptr),
+      depth_gauge_(obs::GetGauge(ShardMetricName(shard, "queue_depth"))),
+      shed_counter_(obs::GetCounter(ShardMetricName(shard, "shed"))),
+      latency_hist_(obs::GetHistogram(ShardMetricName(shard, "latency_ns"))),
+      rolling_latency_(
+          obs::GetRollingHistogram(ShardMetricName(shard, "latency"))),
+      fleet_rolling_latency_(obs::GetRollingHistogram("serve.fleet.latency")),
       batcher_(config.max_batch, config.max_queue_delay_us,
                config.max_queue_depth, depth_gauge_) {
-  CEWS_CHECK(default_registry_ != nullptr);
+  // The fleet builds its registry with quantize = (precision == kInt8).
+  CEWS_CHECK(config_.precision != Precision::kInt8 ||
+             scenarios_->quantizes());
   obs::FlightRecorder::Global().Record(obs::FlightEventKind::kServerStart,
-                                       nullptr, config_.shard_index);
-  workers_.reserve(static_cast<size_t>(config_.num_threads));
-  for (int i = 0; i < config_.num_threads; ++i) {
+                                       nullptr, shard_);
+  workers_.reserve(static_cast<size_t>(config_.threads_per_shard));
+  for (int i = 0; i < config_.threads_per_shard; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -157,7 +60,7 @@ PolicyServer::~PolicyServer() { Stop(); }
 void PolicyServer::Stop() {
   if (stopped_.exchange(true)) return;
   obs::FlightRecorder::Global().Record(obs::FlightEventKind::kServerStop,
-                                       nullptr, config_.shard_index);
+                                       nullptr, shard_);
   batcher_.Shutdown();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
@@ -214,7 +117,7 @@ std::future<ScheduleResponse> PolicyServer::Submit(
   const auto reject = [&item, this](Status status) {
     ScheduleResponse response;
     response.status = std::move(status);
-    response.shard = config_.shard_index;
+    response.shard = shard_;
     item.promise.set_value(std::move(response));
   };
 
@@ -258,7 +161,7 @@ std::future<ScheduleResponse> PolicyServer::Submit(
           shed_total_.fetch_add(1, std::memory_order_relaxed) + 1;
       if ((sheds & (sheds - 1)) == 0) {
         obs::FlightRecorder::Global().Record(
-            obs::FlightEventKind::kShed, nullptr, config_.shard_index,
+            obs::FlightEventKind::kShed, nullptr, shard_,
             static_cast<int64_t>(sheds));
       }
       reject(Status::ResourceExhausted(
@@ -270,25 +173,16 @@ std::future<ScheduleResponse> PolicyServer::Submit(
   return future;
 }
 
-Status PolicyServer::Publish(const std::vector<nn::Tensor>& params) {
-  return default_registry_->Publish(params);
-}
-
-Status PolicyServer::PublishFromFile(const std::string& path) {
-  return default_registry_->PublishFromFile(path);
-}
-
 void PolicyServer::WorkerLoop(int worker_index) {
   // Private replica: parameters are copied in from a registry snapshot
   // whenever the (scenario, epoch) being served changes, so workers never
   // share mutable tensors and a scenario group is served entirely by the
   // snapshot it captured.
-  Rng init_rng(config_.seed + 0x9E3779B97F4A7C15ULL *
-                                 static_cast<uint64_t>(worker_index + 1));
+  Rng init_rng(seed_ + 0x9E3779B97F4A7C15ULL *
+                           static_cast<uint64_t>(worker_index + 1));
   agents::PolicyNet net(config_.net, init_rng);
   const std::vector<nn::Tensor> net_params = net.Parameters();
-  Rng sample_rng(config_.seed * 1000003ULL +
-                 static_cast<uint64_t>(worker_index));
+  Rng sample_rng(seed_ * 1000003ULL + static_cast<uint64_t>(worker_index));
   const bool int8_path = config_.precision == Precision::kInt8;
   const ModelRegistry* cached_registry = nullptr;
   uint64_t cached_epoch = ~uint64_t{0};
@@ -305,9 +199,9 @@ void PolicyServer::WorkerLoop(int worker_index) {
   std::vector<uint8_t> masks;
   std::vector<uint8_t> deterministic;
   // (registry, member indices) per scenario in this flush, grouped in
-  // first-appearance order. Single-scenario flushes — every standalone
-  // server, and fleet shards under per-city load — form exactly one group,
-  // preserving the pre-fleet batching behavior bit for bit.
+  // first-appearance order. Single-scenario flushes — every shard of a
+  // one-scenario fleet, and any shard under per-city load — form exactly
+  // one group.
   std::vector<std::pair<ModelRegistry*, std::vector<int>>> groups;
 
   for (;;) {
@@ -349,7 +243,7 @@ void PolicyServer::WorkerLoop(int worker_index) {
         cached_registry = registry;
         cached_epoch = snapshot->epoch;
         obs::FlightRecorder::Global().Record(
-            obs::FlightEventKind::kEpochSwap, nullptr, config_.shard_index,
+            obs::FlightEventKind::kEpochSwap, nullptr, shard_,
             static_cast<int64_t>(snapshot->epoch));
       }
 
@@ -426,7 +320,7 @@ void PolicyServer::WorkerLoop(int worker_index) {
         response.charge_logits = std::move(decision.charge_logits);
         response.batch_size = n;
         response.latency_ns = now_ns - item.enqueue_ns;
-        response.shard = config_.shard_index;
+        response.shard = shard_;
         // Metrics charge from the client-declared arrival when one was
         // stamped (see ScheduleRequest::arrival_ns): the windowed gauges
         // then measure the same scheduled-arrival-to-completion interval
@@ -441,9 +335,7 @@ void PolicyServer::WorkerLoop(int worker_index) {
         latency_hist->Record(metric_latency_ns);
         latency_hist_->Record(metric_latency_ns);
         rolling_latency_->Record(metric_latency_ns);
-        if (fleet_rolling_latency_ != nullptr) {
-          fleet_rolling_latency_->Record(metric_latency_ns);
-        }
+        fleet_rolling_latency_->Record(metric_latency_ns);
         item.promise.set_value(std::move(response));
       }
 
@@ -454,7 +346,7 @@ void PolicyServer::WorkerLoop(int worker_index) {
       // set_value consumed only the response.
       if (tracing) {
         const uint64_t scatter_end_ns = Stopwatch::NowNs();
-        const int64_t shard = config_.shard_index;
+        const int64_t shard = shard_;
         for (const int m : members) {
           const PendingRequest& item = batch[static_cast<size_t>(m)];
           const uint64_t id = item.request.trace.id;

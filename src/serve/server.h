@@ -1,22 +1,19 @@
-// cews::serve — PolicyServer: one in-process, dynamically micro-batched
-// inference shard over trained DRL-CEWS policies.
+// cews::serve — PolicyServer: one shard of a serve::Fleet (fleet.h), an
+// in-process, dynamically micro-batched inference server over trained
+// DRL-CEWS policies.
 //
-// Clients submit per-fleet ScheduleRequests from any thread and get a
-// future; the batcher coalesces concurrent requests (flush on max_batch or
-// max_queue_delay_us); a pool of inference workers runs ONE batched
-// PolicyNet::Forward per (flush, scenario) group and completes each future
-// with the actions, masked logits and value estimate. Model parameters
-// hot-swap through per-scenario ModelRegistry entries without ever blocking
-// in-flight inference: each worker keeps a private PolicyNet and copies a
-// snapshot's values in only when the (scenario, epoch) it is serving
-// changes, so concurrent workers never share mutable tensors and every
-// response is computed from exactly one epoch of exactly one scenario.
+// The fleet routes each request to one shard; the shard's batcher coalesces
+// concurrent requests (flush on max_batch or max_queue_delay_us); a pool of
+// inference workers runs ONE batched PolicyNet::Forward per (flush,
+// scenario) group and completes each future with the actions, masked
+// logits and value estimate. Model parameters hot-swap through the fleet's
+// per-scenario ModelRegistry entries without ever blocking in-flight
+// inference: each worker keeps a private PolicyNet and copies a snapshot's
+// values in only when the (scenario, epoch) it is serving changes, so
+// concurrent workers never share mutable tensors and every response is
+// computed from exactly one epoch of exactly one scenario.
 //
-// A PolicyServer is the *shard* building block of serve::Fleet (fleet.h) —
-// new code should go through Fleet::Create, which owns routing, the shared
-// multi-scenario registry, admission control and fleet-wide publication.
-// Standalone construction remains supported for single-shard embedding and
-// tests.
+// Fleet::Create builds every shard; nothing else can.
 #ifndef CEWS_SERVE_SERVER_H_
 #define CEWS_SERVE_SERVER_H_
 
@@ -29,10 +26,10 @@
 #include <vector>
 
 #include "agents/policy_net.h"
-#include "common/result.h"
 #include "common/status.h"
 #include "env/state_encoder.h"
 #include "serve/batcher.h"
+#include "serve/fleet.h"
 #include "serve/model_registry.h"
 #include "serve/request.h"
 
@@ -45,75 +42,8 @@ class RollingHistogram;
 
 namespace cews::serve {
 
-/// Numeric precision of the inference forward pass.
-///
-/// kFp32 is the historical path: each worker owns a private fp32 PolicyNet
-/// replica and copies snapshot values in on epoch change. kInt8 serves the
-/// snapshot's publish-time nn::quant::QuantizedParams bundle in place
-/// through the packed int8 kernels (agents/quant_policy.h): no per-worker
-/// parameter copy, no per-request weight quantization, and the decision
-/// protocol (masking, sampling, Rng draw order) is byte-for-byte the fp32
-/// one — only the forward arithmetic changes. Int8 serving is gated on
-/// action agreement with the fp32 reference (ISSUE: >= 99% argmax match
-/// over the scenario suite; enforced by tests and the deploy/CLI gates).
-enum class Precision { kFp32, kInt8 };
-
-/// "fp32" / "int8".
-const char* PrecisionName(Precision precision);
-
-/// Parses "fp32" / "int8" (InvalidArgument otherwise).
-Result<Precision> ParsePrecision(const std::string& name);
-
-struct PolicyServerConfig {
-  /// Architecture served (grid, channels, workers, moves). Must match the
-  /// checkpoints published into the registry.
-  agents::PolicyNetConfig net;
-  /// Inference worker threads draining the batcher.
-  int num_threads = 1;
-  /// Flush a batch at this many coalesced requests...
-  int max_batch = 8;
-  /// ...or once the oldest queued request has waited this long.
-  int64_t max_queue_delay_us = 200;
-  /// Admission control: queued requests beyond this depth are shed — Submit
-  /// resolves immediately with ResourceExhausted instead of queueing
-  /// (never blocks). 0 = unbounded (legacy standalone behavior).
-  int max_queue_depth = 0;
-  /// Intra-op NN kernel threads (0 = hardware cores; CEWS_NUM_THREADS
-  /// overrides), applied to the global kernel pool at Create.
-  int runtime_threads = 1;
-  /// Seeds the epoch-0 parameters and the per-worker sampling streams.
-  uint64_t seed = 1;
-  /// Fleet shard index (>= 0): names the per-shard metrics
-  /// (serve.shard.N.queue_depth, serve.shard.N.shed) and is reported in
-  /// every ScheduleResponse::shard. -1 = standalone (legacy metric names,
-  /// shard -1 in responses).
-  int shard_index = -1;
-  /// Forward-pass precision. kInt8 requires the scenario registry to carry
-  /// quantized bundles (standalone Create builds one accordingly; the fleet
-  /// hook validates the shared registry).
-  Precision precision = Precision::kFp32;
-};
-
 class PolicyServer {
  public:
-  /// Validates the config (positive net dims, threads, batch bound) and
-  /// starts the worker pool serving a private single-scenario registry
-  /// ("default"). The epoch-0 model is freshly initialized from `seed`;
-  /// publish trained parameters via Publish/PublishFromFile.
-  static Result<std::unique_ptr<PolicyServer>> Create(
-      const PolicyServerConfig& config);
-
-  /// Fleet hook: a shard serving a shared multi-scenario registry (owned
-  /// jointly with the Fleet and its sibling shards). Does NOT resize the
-  /// global kernel pool — the fleet does that once.
-  static Result<std::unique_ptr<PolicyServer>> Create(
-      const PolicyServerConfig& config,
-      std::shared_ptr<ScenarioRegistry> scenarios);
-
-  /// The validation Create applies (net dims, thread/batch/queue bounds),
-  /// reusable by Fleet::Create before it constructs anything.
-  static Status ValidateConfig(const PolicyServerConfig& config);
-
   /// Stops and joins the workers (draining queued requests).
   ~PolicyServer();
 
@@ -127,37 +57,6 @@ class PolicyServer {
   /// (FailedPrecondition) — never with a broken promise.
   std::future<ScheduleResponse> Submit(ScheduleRequest request);
 
-  /// Hot-swaps the default scenario's parameters (clones `params`; see
-  /// ModelRegistry). Publication into other scenarios goes through the
-  /// owning Fleet (or scenarios().Publish for standalone multi-scenario
-  /// setups).
-  Status Publish(const std::vector<nn::Tensor>& params);
-
-  /// Reloads a checkpoint from disk into the default scenario (via
-  /// ModelRegistry::PublishFromFile — the live model is untouched on
-  /// failure).
-  Status PublishFromFile(const std::string& path);
-
-  /// Epoch of the default scenario's served snapshot (relaxed counter
-  /// read; does not touch the snapshot refcount).
-  uint64_t epoch() const { return default_registry_->epoch(); }
-
-  /// Read-only view of the default scenario's registry. Publication goes
-  /// through Publish/PublishFromFile (or the Fleet) — handing out a
-  /// mutable registry would bypass their validation and ownership story.
-  const ModelRegistry& registry() const { return *default_registry_; }
-
-  /// The scenario map this server serves (shared with the fleet's other
-  /// shards when fleet-constructed).
-  const ScenarioRegistry& scenarios() const { return *scenarios_; }
-
-  const agents::PolicyNetConfig& net_config() const { return config_.net; }
-
-  /// Floats a pre-encoded ScheduleRequest::state must carry.
-  int StateSize() const {
-    return config_.net.in_channels * config_.net.grid * config_.net.grid;
-  }
-
   /// Instantaneous batcher queue length (telemetry, tests).
   int QueueDepth() const { return batcher_.depth(); }
 
@@ -166,22 +65,32 @@ class PolicyServer {
   void Stop();
 
  private:
-  PolicyServer(const PolicyServerConfig& config,
+  friend class Fleet;
+
+  /// Shard `shard` of a fleet with `config` (validated by Fleet::Create),
+  /// serving the fleet's `scenarios`. Its epoch-0 replicas and sampling
+  /// streams derive from seed + 0x9E3779B97F4A7C15 * shard.
+  PolicyServer(const FleetConfig& config, int shard,
                std::shared_ptr<ScenarioRegistry> scenarios);
 
   void WorkerLoop(int worker_index);
   Status ValidateRequest(const ScheduleRequest& request) const;
 
-  const PolicyServerConfig config_;
+  /// Floats a pre-encoded ScheduleRequest::state must carry.
+  int StateSize() const {
+    return config_.net.in_channels * config_.net.grid * config_.net.grid;
+  }
+
+  const FleetConfig config_;
+  const int shard_;
+  const uint64_t seed_;
   env::StateEncoder encoder_;
   std::shared_ptr<ScenarioRegistry> scenarios_;
-  ModelRegistry* default_registry_;  ///< scenarios_->Find("").
-  obs::Gauge* depth_gauge_;          ///< serve.shard.N.queue_depth.
-  obs::Counter* shed_counter_;       ///< serve.shard.N.shed.
-  obs::Histogram* latency_hist_;     ///< serve.shard.N.latency_ns.
-  /// Windowed latency: the shard's own rolling histogram, plus the shared
-  /// fleet-wide one when fleet-constructed (nullptr standalone) — the SLO
-  /// monitor and exporter read these.
+  obs::Gauge* depth_gauge_;       ///< serve.shard.N.queue_depth.
+  obs::Counter* shed_counter_;    ///< serve.shard.N.shed.
+  obs::Histogram* latency_hist_;  ///< serve.shard.N.latency_ns.
+  /// Windowed latency: the shard's own rolling histogram and the shared
+  /// fleet-wide one — the SLO monitor and exporter read these.
   obs::RollingHistogram* rolling_latency_;
   obs::RollingHistogram* fleet_rolling_latency_;
   /// Shard-local shed tally for flight-recorder sampling (obs::Counter is

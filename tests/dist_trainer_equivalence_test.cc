@@ -8,12 +8,15 @@
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "dist/channel.h"
 #include "dist/trainer.h"
 #include "dist/wire.h"
 #include "env/map.h"
+#include "env/state_encoder.h"
 
 namespace cews::dist {
 namespace {
@@ -147,6 +150,59 @@ TEST(DistEquivalenceTest, HandshakeRejectsConfigMismatch) {
   ASSERT_FALSE(run_status.ok());
   EXPECT_EQ(run_status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(run_status.message().find("hash mismatch"), std::string::npos);
+}
+
+TEST(DistEquivalenceTest, ChiefRejectsRolloutThatDoesNotFitItsConfig) {
+  const env::Map map = SmallMap();
+  DistTrainerConfig cfg =
+      TinyDistConfig(agents::IntrinsicMode::kNone, 1, "misfit");
+  cfg.trainer.num_employees = 1;
+  cfg.handshake_timeout_ms = 5000;
+  cfg.liveness_timeout_ms = 5000;
+
+  ChiefServer server(cfg, map);
+  ASSERT_TRUE(server.Bind().ok());
+  const std::string address = server.address();
+  const agents::TrainerConfig norm = NormalizeConfig(cfg.trainer, map);
+
+  // A fake employee: the real handshake, then a CRC-valid rollout frame
+  // whose states are one float short of the encoder's size. The learner
+  // CHECK-aborts on such a buffer; the chief must refuse it first.
+  std::jthread employee([&address, &norm, &map] {
+    auto ch_or = Channel::Dial(address);
+    ASSERT_TRUE(ch_or.ok()) << ch_or.status().ToString();
+    Channel ch = std::move(*ch_or);
+    Hello hello;
+    hello.rank = 0;
+    hello.config_hash = ConfigHash(norm, map);
+    ASSERT_TRUE(ch.Send(FrameType::kHello, PackHello(hello)).ok());
+    ASSERT_TRUE(ExpectFrame(ch, FrameType::kWelcome, 5000).ok());
+    ASSERT_TRUE(ExpectFrame(ch, FrameType::kParams, 5000).ok());
+
+    RolloutPayload payload;
+    agents::RolloutBuffer buffer;
+    const int state_size = env::StateEncoder(norm.encoder).StateSize();
+    for (int t = 0; t < norm.env.horizon; ++t) {
+      agents::Transition tr;
+      tr.state.assign(static_cast<size_t>(state_size - 1), 0.5f);
+      tr.moves.assign(static_cast<size_t>(norm.net.num_workers), 0);
+      tr.charges.assign(static_cast<size_t>(norm.net.num_workers), 0);
+      tr.done = t == norm.env.horizon - 1;
+      buffer.Add(std::move(tr));
+    }
+    buffer.ComputeAdvantages(0.99f, 0.95f, 0.0f);
+    payload.buffers.push_back(std::move(buffer));
+    ASSERT_TRUE(ch.Send(FrameType::kRollout, PackRollout(payload)).ok());
+    // Wait for the chief to hang up.
+    (void)ch.Recv(5000);
+  });
+
+  DistTrainResult result;
+  const Status run_status = server.Run(&result);
+  ASSERT_FALSE(run_status.ok());
+  EXPECT_EQ(run_status.code(), StatusCode::kIOError);
+  EXPECT_NE(run_status.message().find("does not fit"), std::string::npos)
+      << run_status.ToString();
 }
 
 TEST(DistEquivalenceTest, MergeRolloutsIsRankMajor) {

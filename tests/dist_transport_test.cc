@@ -26,6 +26,7 @@
 #include "dist/trainer.h"
 #include "dist/wire.h"
 #include "env/map.h"
+#include "env/state_encoder.h"
 
 namespace cews::dist {
 namespace {
@@ -374,6 +375,167 @@ TEST(WireTest, CorruptRolloutPayloadRejectedNotCrash) {
   // Trailing garbage is also rejected (version-skew tell).
   auto r = UnpackRollout(packed + "zz");
   EXPECT_FALSE(r.ok());
+}
+
+/// The shape of a rollout, field by field, so each test can put one field
+/// out of the receiver's config.
+struct RolloutShape {
+  int buffers = 0;
+  int transitions = 0;
+  int state_size = 0;
+  int workers = 0;
+  int move = 0;
+  int charge = 0;
+  bool advantages = true;
+};
+
+/// A normalized config with a small grid and horizon.
+agents::TrainerConfig SmallTrainerConfig() {
+  const env::Map map =
+      *core::MakeScenario(core::Scenario::kEarthquakeSite, 30, 2, 2, 42);
+  agents::TrainerConfig config;
+  config.env.horizon = 4;
+  config.encoder.grid = 6;
+  config.envs_per_employee = 2;
+  return NormalizeConfig(config, map);
+}
+
+/// The shape of a rollout that fits `config`, at the top of each range.
+RolloutShape FittingShape(const agents::TrainerConfig& config) {
+  RolloutShape shape;
+  shape.buffers = config.envs_per_employee;
+  shape.transitions = config.env.horizon;
+  shape.state_size = env::StateEncoder(config.encoder).StateSize();
+  shape.workers = config.net.num_workers;
+  shape.move = config.net.num_moves - 1;
+  shape.charge = 1;
+  return shape;
+}
+
+/// A payload of `shape` with one in-range curiosity sample, sent through
+/// the wire codec: UnpackRollout checks lengths only, so it accepts every
+/// shape the tests build.
+RolloutPayload MakeRollout(const RolloutShape& shape,
+                           const agents::TrainerConfig& config) {
+  RolloutPayload payload;
+  for (int b = 0; b < shape.buffers; ++b) {
+    agents::RolloutBuffer buffer;
+    for (int t = 0; t < shape.transitions; ++t) {
+      agents::Transition tr;
+      tr.state.assign(static_cast<size_t>(shape.state_size), 0.5f);
+      tr.moves.assign(static_cast<size_t>(shape.workers), shape.move);
+      tr.charges.assign(static_cast<size_t>(shape.workers), shape.charge);
+      tr.done = t == shape.transitions - 1;
+      buffer.Add(std::move(tr));
+    }
+    if (shape.advantages) buffer.ComputeAdvantages(0.99f, 0.95f, 0.0f);
+    payload.buffers.push_back(std::move(buffer));
+  }
+  const int last_cell = env::StateEncoder(config.encoder).NumCells() - 1;
+  payload.samples.push_back(agents::CuriositySample{
+      config.net.num_workers - 1, {last_cell, 0.5f, 0.5f},
+      config.net.num_moves - 1, {0, 0.5f, 0.5f}});
+  Result<RolloutPayload> decoded = UnpackRollout(PackRollout(payload));
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  return std::move(decoded).value();
+}
+
+/// ValidateRollout must refuse `payload` with a message naming `why`.
+void ExpectMisfit(const RolloutPayload& payload,
+                  const agents::TrainerConfig& config,
+                  const std::string& why) {
+  const Status status = ValidateRollout(payload, config);
+  ASSERT_FALSE(status.ok()) << "a rollout with a bad " << why
+                            << " was accepted";
+  EXPECT_NE(status.message().find(why), std::string::npos)
+      << status.ToString();
+}
+
+TEST(WireTest, FittingRolloutAccepted) {
+  const agents::TrainerConfig config = SmallTrainerConfig();
+  const Status status =
+      ValidateRollout(MakeRollout(FittingShape(config), config), config);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST(WireTest, RolloutWithOtherBufferCountRejected) {
+  const agents::TrainerConfig config = SmallTrainerConfig();
+  RolloutShape shape = FittingShape(config);
+  shape.buffers += 1;
+  ExpectMisfit(MakeRollout(shape, config), config, "buffers");
+}
+
+TEST(WireTest, RolloutWithOtherEpisodeLengthRejected) {
+  const agents::TrainerConfig config = SmallTrainerConfig();
+  RolloutShape shape = FittingShape(config);
+  shape.transitions -= 1;
+  ExpectMisfit(MakeRollout(shape, config), config, "transitions");
+}
+
+TEST(WireTest, RolloutWithOtherStateSizeRejected) {
+  const agents::TrainerConfig config = SmallTrainerConfig();
+  RolloutShape shape = FittingShape(config);
+  shape.state_size += 1;
+  ExpectMisfit(MakeRollout(shape, config), config, "state");
+}
+
+TEST(WireTest, RolloutWithOtherWorkerCountRejected) {
+  const agents::TrainerConfig config = SmallTrainerConfig();
+  RolloutShape shape = FittingShape(config);
+  shape.workers += 1;
+  ExpectMisfit(MakeRollout(shape, config), config, "workers");
+}
+
+TEST(WireTest, RolloutWithMoveOutOfRangeRejected) {
+  const agents::TrainerConfig config = SmallTrainerConfig();
+  RolloutShape shape = FittingShape(config);
+  shape.move = config.net.num_moves;
+  ExpectMisfit(MakeRollout(shape, config), config, "move index");
+  shape.move = -1;
+  ExpectMisfit(MakeRollout(shape, config), config, "move index");
+}
+
+TEST(WireTest, RolloutWithChargeOutOfRangeRejected) {
+  const agents::TrainerConfig config = SmallTrainerConfig();
+  RolloutShape shape = FittingShape(config);
+  shape.charge = 2;
+  ExpectMisfit(MakeRollout(shape, config), config, "charge index");
+  shape.charge = -1;
+  ExpectMisfit(MakeRollout(shape, config), config, "charge index");
+}
+
+TEST(WireTest, RolloutWithoutAdvantagesRejected) {
+  const agents::TrainerConfig config = SmallTrainerConfig();
+  RolloutShape shape = FittingShape(config);
+  shape.advantages = false;
+  ExpectMisfit(MakeRollout(shape, config), config, "advantages");
+}
+
+TEST(WireTest, RolloutWithOutOfRangeCuriositySampleRejected) {
+  const agents::TrainerConfig config = SmallTrainerConfig();
+  const int cells = env::StateEncoder(config.encoder).NumCells();
+  const RolloutPayload fitting = MakeRollout(FittingShape(config), config);
+  const auto with_sample = [&](auto edit) {
+    RolloutPayload payload = fitting;
+    edit(payload.samples[0]);
+    return payload;
+  };
+  ExpectMisfit(with_sample([&](agents::CuriositySample& s) {
+                 s.worker = config.net.num_workers;
+               }),
+               config, "curiosity sample");
+  ExpectMisfit(with_sample([&](agents::CuriositySample& s) {
+                 s.from.cell = cells;
+               }),
+               config, "curiosity sample");
+  ExpectMisfit(with_sample([&](agents::CuriositySample& s) {
+                 s.to.cell = -1;
+               }),
+               config, "curiosity sample");
+  ExpectMisfit(with_sample([&](agents::CuriositySample& s) {
+                 s.move = config.net.num_moves;
+               }),
+               config, "curiosity sample");
 }
 
 TEST(WireTest, ConfigHashSeparatesProblems) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 
 #include "core/algorithms.h"
 #include "core/drl_cews.h"
@@ -44,6 +45,14 @@ agents::TrainerConfig TinyConfig() {
   return config;
 }
 
+/// DrlCews::Create on a config the test knows to be valid.
+std::unique_ptr<DrlCews> MakeSystem(const agents::TrainerConfig& config,
+                                    const env::Map& map) {
+  Result<std::unique_ptr<DrlCews>> system = DrlCews::Create(config, map);
+  EXPECT_TRUE(system.ok()) << system.status().ToString();
+  return std::move(system).value();
+}
+
 TEST(DrlCewsTest, DefaultConfigIsThePaperSetup) {
   const agents::TrainerConfig config = DrlCews::DefaultConfig();
   EXPECT_EQ(config.reward_mode, agents::RewardMode::kSparse);
@@ -66,10 +75,10 @@ TEST(DrlCewsTest, DefaultConfigIsThePaperSetup) {
 }
 
 TEST(DrlCewsTest, TrainEvaluateRoundTrip) {
-  DrlCews system(TinyConfig(), TestMap());
-  const agents::TrainResult train = system.Train();
+  const std::unique_ptr<DrlCews> system = MakeSystem(TinyConfig(), TestMap());
+  const agents::TrainResult train = system->Train();
   EXPECT_EQ(train.history.size(), 4u);
-  const agents::EvalResult eval = system.Evaluate(/*episodes=*/2);
+  const agents::EvalResult eval = system->Evaluate(/*episodes=*/2);
   EXPECT_GE(eval.kappa, 0.0);
   EXPECT_LE(eval.kappa, 1.0 + 1e-9);
   EXPECT_GE(eval.rho, 0.0);
@@ -80,17 +89,17 @@ TEST(DrlCewsTest, CheckpointRoundTripPreservesPolicy) {
   const std::string path = ::testing::TempDir() + "/cews_ckpt_test.bin";
   agents::TrainerConfig config = TinyConfig();
 
-  DrlCews a(config, map);
-  a.Train();
-  ASSERT_TRUE(a.SaveCheckpoint(path).ok());
+  const std::unique_ptr<DrlCews> a = MakeSystem(config, map);
+  a->Train();
+  ASSERT_TRUE(a->SaveCheckpoint(path).ok());
 
   config.seed = 777;  // different init; must be overwritten by the load
-  DrlCews b(config, map);
-  ASSERT_TRUE(b.LoadCheckpoint(path).ok());
+  const std::unique_ptr<DrlCews> b = MakeSystem(config, map);
+  ASSERT_TRUE(b->LoadCheckpoint(path).ok());
 
   // Identical policies: same deterministic evaluation.
-  const agents::EvalResult ea = a.Evaluate(1, /*deterministic=*/true);
-  const agents::EvalResult eb = b.Evaluate(1, /*deterministic=*/true);
+  const agents::EvalResult ea = a->Evaluate(1, /*deterministic=*/true);
+  const agents::EvalResult eb = b->Evaluate(1, /*deterministic=*/true);
   EXPECT_DOUBLE_EQ(ea.kappa, eb.kappa);
   EXPECT_DOUBLE_EQ(ea.xi, eb.xi);
   std::remove(path.c_str());
@@ -99,10 +108,10 @@ TEST(DrlCewsTest, CheckpointRoundTripPreservesPolicy) {
 TEST(DrlCewsTest, ExportsHeatmapCsv) {
   agents::TrainerConfig config = TinyConfig();
   config.heatmap_snapshot_every = 2;
-  DrlCews system(config, TestMap());
-  system.Train();
+  const std::unique_ptr<DrlCews> system = MakeSystem(config, TestMap());
+  system->Train();
   const std::string path = ::testing::TempDir() + "/cews_heatmap_test.csv";
-  ASSERT_TRUE(system.ExportHeatmapCsv(path).ok());
+  ASSERT_TRUE(system->ExportHeatmapCsv(path).ok());
   std::ifstream in(path);
   std::string header;
   std::getline(in, header);
@@ -113,9 +122,9 @@ TEST(DrlCewsTest, ExportsHeatmapCsv) {
 }
 
 TEST(DrlCewsTest, ExportsTrajectoryCsv) {
-  DrlCews system(TinyConfig(), TestMap());
+  const std::unique_ptr<DrlCews> system = MakeSystem(TinyConfig(), TestMap());
   const std::string path = ::testing::TempDir() + "/cews_traj_test.csv";
-  ASSERT_TRUE(system.ExportTrajectoryCsv(path).ok());
+  ASSERT_TRUE(system->ExportTrajectoryCsv(path).ok());
   std::ifstream in(path);
   std::string header;
   std::getline(in, header);
@@ -148,24 +157,24 @@ TEST(FullPipelineTest, MapFileToTrainedPolicyToArtifacts) {
 
   // 2. Train (tiny) and export artifacts.
   agents::TrainerConfig config = TinyConfig();
-  core::DrlCews system(config, map);
-  const agents::TrainResult train = system.Train();
-  ASSERT_TRUE(system.SaveCheckpoint(ckpt_path).ok());
+  const std::unique_ptr<DrlCews> system = MakeSystem(config, map);
+  const agents::TrainResult train = system->Train();
+  ASSERT_TRUE(system->SaveCheckpoint(ckpt_path).ok());
   ASSERT_TRUE(core::WriteHistoryCsv(train.history, history_path).ok());
 
   env::Env env(config.env, map);
   env::StateEncoder encoder(config.encoder);
   Rng rng(5);
-  agents::EvaluatePolicy(system.net(), env, encoder, rng);
+  agents::EvaluatePolicy(system->net(), env, encoder, rng);
   ASSERT_TRUE(
       core::WriteTrajectorySvg(map, env.trajectories(), svg_path).ok());
 
   // 3. A fresh system restores the exact policy from the checkpoint.
   config.seed = 31337;
-  core::DrlCews restored(config, map);
-  ASSERT_TRUE(restored.LoadCheckpoint(ckpt_path).ok());
-  const agents::EvalResult a = system.Evaluate(1, /*deterministic=*/true);
-  const agents::EvalResult b = restored.Evaluate(1, /*deterministic=*/true);
+  const std::unique_ptr<DrlCews> restored = MakeSystem(config, map);
+  ASSERT_TRUE(restored->LoadCheckpoint(ckpt_path).ok());
+  const agents::EvalResult a = system->Evaluate(1, /*deterministic=*/true);
+  const agents::EvalResult b = restored->Evaluate(1, /*deterministic=*/true);
   EXPECT_DOUBLE_EQ(a.kappa, b.kappa);
 
   for (const std::string& path :

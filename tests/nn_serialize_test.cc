@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/status.h"
 #include "nn/tensor.h"
 
@@ -58,9 +59,9 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good());
 }
 
-/// Replicates the pre-footer writer: magic | count | per tensor ndim, dims,
-/// data — byte-for-byte the legacy "CEWSPAR1" on-disk format.
-std::string LegacyBytes(const std::vector<Tensor>& params) {
+/// What SaveParameters writes before its footer: magic | count | per tensor
+/// ndim, dims, data — byte-for-byte a checkpoint with the footer cut off.
+std::string FooterlessBytes(const std::vector<Tensor>& params) {
   std::string buf;
   buf.append("CEWSPAR1", 8);
   const uint64_t count = params.size();
@@ -76,6 +77,15 @@ std::string LegacyBytes(const std::vector<Tensor>& params) {
                sizeof(float) * static_cast<size_t>(t.numel()));
   }
   return buf;
+}
+
+/// `bytes` plus a valid footer ("CRC1" + CRC-32 of `bytes`), so a corrupt
+/// header or payload inside gets past the checksum to the check it targets.
+std::string WithCrcFooter(std::string bytes) {
+  const uint32_t crc = ComputeCrc32(bytes.data(), bytes.size());
+  bytes.append("CRC1", 4);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return bytes;
 }
 
 TEST(SerializeTest, RoundTripWithCrcFooter) {
@@ -155,43 +165,20 @@ TEST(SerializeTest, BitFlipFailsCrcCheck) {
       << status.ToString();
 }
 
-TEST(SerializeTest, LegacyFooterlessFileStillLoads) {
-  const std::string path = TempPath("legacy.bin");
-  const std::vector<Tensor> saved = MakeParams(7.0f);
-  WriteFile(path, LegacyBytes(saved));
+TEST(SerializeTest, FooterlessFileRejected) {
+  const std::string path = TempPath("footerless.bin");
+  WriteFile(path, FooterlessBytes(MakeParams(7.0f)));
 
+  // A well-formed payload without the footer carries no integrity check,
+  // so it is refused like any other unverifiable file, and the model is
+  // left as it was.
   std::vector<Tensor> loaded = MakeParams(0.0f);
-  ASSERT_TRUE(LoadParameters(path, loaded).ok());
-  ExpectSameValues(saved, loaded);
-}
-
-TEST(SerializeTest, StrictModeRejectsFooterlessFile) {
-  const std::string path = TempPath("legacy_strict.bin");
-  const std::vector<Tensor> saved = MakeParams(7.0f);
-  WriteFile(path, LegacyBytes(saved));
-
-  // The same file the lenient default accepts is refused under
-  // require_crc — the distributed broadcast / fleet publish path must
-  // never fan out a checkpoint that carries no integrity check.
-  LoadOptions strict;
-  strict.require_crc = true;
-  std::vector<Tensor> loaded = MakeParams(0.0f);
-  const Status status = LoadParameters(path, loaded, strict);
+  const Status status = LoadParameters(path, loaded);
   ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
   EXPECT_NE(status.message().find("CRC"), std::string::npos)
       << status.ToString();
-}
-
-TEST(SerializeTest, StrictModeAcceptsFooteredFile) {
-  const std::string path = TempPath("footered_strict.bin");
-  const std::vector<Tensor> saved = MakeParams(3.25f);
-  ASSERT_TRUE(SaveParameters(path, saved).ok());
-  LoadOptions strict;
-  strict.require_crc = true;
-  std::vector<Tensor> loaded = MakeParams(0.0f);
-  ASSERT_TRUE(LoadParameters(path, loaded, strict).ok());
-  ExpectSameValues(saved, loaded);
+  ExpectSameValues(MakeParams(0.0f), loaded);
 }
 
 TEST(SerializeTest, ImplausibleRankRejectedBeforeAllocation) {
@@ -204,7 +191,7 @@ TEST(SerializeTest, ImplausibleRankRejectedBeforeAllocation) {
   buf.append(reinterpret_cast<const char*>(&count), sizeof(count));
   const uint64_t ndim = uint64_t{1} << 40;
   buf.append(reinterpret_cast<const char*>(&ndim), sizeof(ndim));
-  WriteFile(path, buf);
+  WriteFile(path, WithCrcFooter(buf));
 
   std::vector<Tensor> loaded = {Tensor::Zeros({2, 2})};
   const Status status = LoadParameters(path, loaded);
@@ -224,12 +211,14 @@ TEST(SerializeTest, NegativeDimensionRejected) {
   buf.append(reinterpret_cast<const char*>(&ndim), sizeof(ndim));
   const int64_t dim = -4;
   buf.append(reinterpret_cast<const char*>(&dim), sizeof(dim));
-  WriteFile(path, buf);
+  WriteFile(path, WithCrcFooter(buf));
 
   std::vector<Tensor> loaded = {Tensor::Zeros({4})};
   const Status status = LoadParameters(path, loaded);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("negative dimension"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(SerializeTest, CountMismatchRejected) {
@@ -253,22 +242,26 @@ TEST(SerializeTest, ShapeMismatchRejected) {
 
 TEST(SerializeTest, TrailingGarbageRejected) {
   const std::string path = TempPath("trailing.bin");
-  std::string buf = LegacyBytes(MakeParams(10.0f));
+  std::string buf = FooterlessBytes(MakeParams(10.0f));
   buf.append("junkjunkjunk");
-  WriteFile(path, buf);
+  WriteFile(path, WithCrcFooter(buf));
   std::vector<Tensor> loaded = MakeParams(0.0f);
   const Status status = LoadParameters(path, loaded);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("trailing"), std::string::npos);
 }
 
-/// LoadParameters must refuse `path` and leave every byte of `model` as it
-/// was.
+/// LoadParameters must refuse `path` with a message naming `why` and leave
+/// every byte of `model` as it was.
 void ExpectRejectedAndUntouched(const std::string& path,
-                                const std::vector<Tensor>& model) {
+                                const std::vector<Tensor>& model,
+                                const std::string& why) {
   std::vector<std::vector<float>> before;
   for (const Tensor& t : model) before.push_back(t.ToVector());
-  EXPECT_FALSE(LoadParameters(path, model).ok());
+  const Status status = LoadParameters(path, model);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(why), std::string::npos)
+      << status.ToString();
   for (size_t i = 0; i < model.size(); ++i) {
     EXPECT_EQ(std::memcmp(before[i].data(), model[i].data(),
                           sizeof(float) * before[i].size()),
@@ -281,21 +274,23 @@ TEST(SerializeTest, LastTensorShapeMismatchLeavesModelUnchanged) {
   const std::string path = TempPath("untouched_shape.bin");
   ASSERT_TRUE(SaveParameters(path, MakeParams(11.0f)).ok());
   ExpectRejectedAndUntouched(
-      path, {MakeParams(0.5f)[0], Tensor::Full({5, 1}, 0.5f)});
+      path, {MakeParams(0.5f)[0], Tensor::Full({5, 1}, 0.5f)},
+      "shape mismatch");
 }
 
 TEST(SerializeTest, CutInsideLastTensorLeavesModelUnchanged) {
   const std::string path = TempPath("untouched_cut.bin");
-  const std::string legacy = LegacyBytes(MakeParams(12.0f));
+  const std::string payload = FooterlessBytes(MakeParams(12.0f));
   // Two floats short of the end: inside the last tensor's data.
-  WriteFile(path, legacy.substr(0, legacy.size() - 2 * sizeof(float)));
-  ExpectRejectedAndUntouched(path, MakeParams(0.5f));
+  WriteFile(path, WithCrcFooter(
+                      payload.substr(0, payload.size() - 2 * sizeof(float))));
+  ExpectRejectedAndUntouched(path, MakeParams(0.5f), "truncated data");
 }
 
 TEST(SerializeTest, TrailingGarbageLeavesModelUnchanged) {
   const std::string path = TempPath("untouched_trailing.bin");
-  WriteFile(path, LegacyBytes(MakeParams(13.0f)) + "junk");
-  ExpectRejectedAndUntouched(path, MakeParams(0.5f));
+  WriteFile(path, WithCrcFooter(FooterlessBytes(MakeParams(13.0f)) + "junk"));
+  ExpectRejectedAndUntouched(path, MakeParams(0.5f), "trailing");
 }
 
 TEST(SerializeTest, GarbageFileRejected) {

@@ -29,7 +29,7 @@
 #include "env/state_encoder.h"
 #include "nn/quant.h"
 #include "serve/fleet.h"
-#include "serve/server.h"
+#include "serve_one_shard.h"
 
 namespace cews::serve {
 namespace {
@@ -98,16 +98,9 @@ std::unique_ptr<agents::PolicyNet> DecisiveNet(
   return net;
 }
 
-PolicyServerConfig Int8ServerConfig(int threads) {
-  PolicyServerConfig config;
-  config.net = TinyNet();
-  config.num_threads = threads;
-  config.max_batch = 4;
-  config.max_queue_delay_us = 100;
-  config.runtime_threads = 1;
-  config.seed = 11;
-  config.precision = Precision::kInt8;
-  return config;
+FleetConfig Int8ServerConfig(int threads) {
+  return OneShardConfig(TinyNet(), threads, /*max_batch=*/4,
+                        /*delay_us=*/100, Precision::kInt8);
 }
 
 TEST(PrecisionTest, ParseAndName) {
@@ -118,47 +111,34 @@ TEST(PrecisionTest, ParseAndName) {
   EXPECT_STREQ(PrecisionName(Precision::kInt8), "int8");
 }
 
-TEST(QuantServeTest, Int8ShardRequiresQuantizedRegistry) {
-  PolicyServerConfig config = Int8ServerConfig(1);
-  Rng rng(3);
-  const agents::PolicyNet net(config.net, rng);
-  auto fp32_only = std::make_shared<ScenarioRegistry>(
-      std::vector<std::string>{ScenarioRegistry::kDefaultScenario},
-      net.Parameters(), /*quantize=*/false);
-  const Result<std::unique_ptr<PolicyServer>> server =
-      PolicyServer::Create(config, fp32_only);
-  EXPECT_FALSE(server.ok());
-}
-
 TEST(QuantServeTest, HotSwapServesNewQuantizedWeights) {
-  const PolicyServerConfig config = Int8ServerConfig(/*threads=*/2);
-  Result<std::unique_ptr<PolicyServer>> created =
-      PolicyServer::Create(config);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  std::unique_ptr<PolicyServer> server = std::move(created).value();
+  const FleetConfig config = Int8ServerConfig(/*threads=*/2);
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(config);
 
-  ASSERT_TRUE(server
-                  ->Publish(BiasForcedParams(config.net, 7, /*move=*/3,
-                                             /*charge=*/1))
+  ASSERT_TRUE(fleet
+                  ->Publish("default", BiasForcedParams(config.net, 7,
+                                                        /*move=*/3,
+                                                        /*charge=*/1))
                   .ok());
   ScheduleRequest request;
   request.state = FixedState(config.net);
   request.deterministic = true;
-  ScheduleResponse response = server->Submit(std::move(request)).get();
+  ScheduleResponse response = fleet->Submit(std::move(request)).get();
   ASSERT_TRUE(response.ok()) << response.status.ToString();
   EXPECT_EQ(response.epoch, 1u);
   for (const int move : response.act.moves) EXPECT_EQ(move, 3);
   for (const int charge : response.act.charges) EXPECT_EQ(charge, 1);
 
   // Second publish: the very next response must serve the NEW bundle.
-  ASSERT_TRUE(server
-                  ->Publish(BiasForcedParams(config.net, 9, /*move=*/7,
-                                             /*charge=*/0))
+  ASSERT_TRUE(fleet
+                  ->Publish("default", BiasForcedParams(config.net, 9,
+                                                        /*move=*/7,
+                                                        /*charge=*/0))
                   .ok());
   ScheduleRequest second;
   second.state = FixedState(config.net);
   second.deterministic = true;
-  response = server->Submit(std::move(second)).get();
+  response = fleet->Submit(std::move(second)).get();
   ASSERT_TRUE(response.ok()) << response.status.ToString();
   EXPECT_EQ(response.epoch, 2u);
   for (const int move : response.act.moves) EXPECT_EQ(move, 7);
@@ -166,11 +146,8 @@ TEST(QuantServeTest, HotSwapServesNewQuantizedWeights) {
 }
 
 TEST(QuantServeTest, ConcurrentPublishesNeverServeTornBundles) {
-  const PolicyServerConfig config = Int8ServerConfig(/*threads=*/3);
-  Result<std::unique_ptr<PolicyServer>> created =
-      PolicyServer::Create(config);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  std::unique_ptr<PolicyServer> server = std::move(created).value();
+  const FleetConfig config = Int8ServerConfig(/*threads=*/3);
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(config);
 
   // Odd epochs serve move 3 / charge 1, even epochs move 7 / charge 0.
   const std::vector<nn::Tensor> odd =
@@ -181,7 +158,7 @@ TEST(QuantServeTest, ConcurrentPublishesNeverServeTornBundles) {
   std::atomic<bool> stop{false};
   std::thread publisher([&] {
     for (int p = 0; p < 40 && !stop.load(); ++p) {
-      ASSERT_TRUE(server->Publish(p % 2 == 0 ? odd : even).ok());
+      ASSERT_TRUE(fleet->Publish("default", p % 2 == 0 ? odd : even).ok());
       std::this_thread::yield();
     }
     stop.store(true);
@@ -194,7 +171,7 @@ TEST(QuantServeTest, ConcurrentPublishesNeverServeTornBundles) {
     request.state = FixedState(config.net);
     request.deterministic = true;
     const ScheduleResponse response =
-        server->Submit(std::move(request)).get();
+        fleet->Submit(std::move(request)).get();
     ASSERT_TRUE(response.ok()) << response.status.ToString();
     if (response.epoch == 0) continue;  // before the first publish landed
     ++served;

@@ -1,5 +1,8 @@
-#include "serve/server.h"
-
+// The single-shard serving cases: one shard of a serve::Fleet
+// (serve_one_shard.h) serving pre-encoded and server-encoded states,
+// rejecting malformed requests, batching by size and by timeout, and
+// hot-swapping its default scenario's parameters without ever serving a
+// torn set.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -21,7 +24,9 @@
 #include "env/state_encoder.h"
 #include "nn/params.h"
 #include "nn/serialize.h"
+#include "serve/fleet.h"
 #include "serve/loadgen.h"
+#include "serve_one_shard.h"
 
 namespace cews::serve {
 namespace {
@@ -41,16 +46,8 @@ agents::PolicyNetConfig TinyNet() {
   return net;
 }
 
-PolicyServerConfig ServerConfig(int threads, int max_batch,
-                                int64_t delay_us) {
-  PolicyServerConfig config;
-  config.net = TinyNet();
-  config.num_threads = threads;
-  config.max_batch = max_batch;
-  config.max_queue_delay_us = delay_us;
-  config.runtime_threads = 1;
-  config.seed = 11;
-  return config;
+FleetConfig ServerConfig(int threads, int max_batch, int64_t delay_us) {
+  return OneShardConfig(TinyNet(), threads, max_batch, delay_us);
 }
 
 /// 10x10 two-worker map (matches TinyNet().num_workers).
@@ -65,12 +62,6 @@ env::Map TinyMap() {
   return map;
 }
 
-std::unique_ptr<PolicyServer> MakeServer(const PolicyServerConfig& config) {
-  Result<std::unique_ptr<PolicyServer>> server = PolicyServer::Create(config);
-  CEWS_CHECK(server.ok()) << server.status().ToString();
-  return std::move(server).value();
-}
-
 /// An arbitrary (but fixed) pre-encoded state for TinyNet.
 std::vector<float> FixedState() {
   std::vector<float> state(3 * 8 * 8);
@@ -81,12 +72,11 @@ std::vector<float> FixedState() {
 }
 
 TEST(PolicyServerTest, ServesPreEncodedState) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
-                              /*delay_us=*/100));
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/1, /*max_batch=*/4, /*delay_us=*/100));
   ScheduleRequest request;
   request.state = FixedState();
-  const ScheduleResponse response = server->Submit(std::move(request)).get();
+  const ScheduleResponse response = fleet->Submit(std::move(request)).get();
   ASSERT_TRUE(response.ok()) << response.status.ToString();
   EXPECT_EQ(response.epoch, 0u);
   EXPECT_EQ(response.act.moves.size(), 2u);
@@ -100,9 +90,8 @@ TEST(PolicyServerTest, ServesPreEncodedState) {
 }
 
 TEST(PolicyServerTest, ServerSideEncodingMatchesPreEncoded) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
-                              /*delay_us=*/100));
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/1, /*max_batch=*/4, /*delay_us=*/100));
   const env::Map map = TinyMap();
   env::Env env(env::EnvConfig{}, map);
   const env::StateEncoder encoder(env::StateEncoderConfig{8});
@@ -114,8 +103,8 @@ TEST(PolicyServerTest, ServerSideEncodingMatchesPreEncoded) {
   raw.env = &env;
   raw.deterministic = true;
 
-  const ScheduleResponse a = server->Submit(std::move(pre)).get();
-  const ScheduleResponse b = server->Submit(std::move(raw)).get();
+  const ScheduleResponse a = fleet->Submit(std::move(pre)).get();
+  const ScheduleResponse b = fleet->Submit(std::move(raw)).get();
   ASSERT_TRUE(a.ok()) << a.status.ToString();
   ASSERT_TRUE(b.ok()) << b.status.ToString();
   // Same snapshot, same observation, argmax decisions: the two encoding
@@ -128,21 +117,20 @@ TEST(PolicyServerTest, ServerSideEncodingMatchesPreEncoded) {
 }
 
 TEST(PolicyServerTest, RejectsMalformedRequests) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
-                              /*delay_us=*/100));
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/1, /*max_batch=*/4, /*delay_us=*/100));
 
   {
     ScheduleRequest request;  // neither state nor env
     const ScheduleResponse response =
-        server->Submit(std::move(request)).get();
+        fleet->Submit(std::move(request)).get();
     EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
   }
   {
     ScheduleRequest request;
     request.state = {1.0f, 2.0f};  // wrong size
     const ScheduleResponse response =
-        server->Submit(std::move(request)).get();
+        fleet->Submit(std::move(request)).get();
     EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
   }
   {
@@ -150,7 +138,7 @@ TEST(PolicyServerTest, RejectsMalformedRequests) {
     request.state = FixedState();
     request.move_mask.assign(5, 1);  // wrong mask size
     const ScheduleResponse response =
-        server->Submit(std::move(request)).get();
+        fleet->Submit(std::move(request)).get();
     EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
   }
   {
@@ -160,7 +148,7 @@ TEST(PolicyServerTest, RejectsMalformedRequests) {
     ScheduleRequest request;
     request.env = &env;  // fleet size mismatch
     const ScheduleResponse response =
-        server->Submit(std::move(request)).get();
+        fleet->Submit(std::move(request)).get();
     EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
   }
 }
@@ -169,10 +157,10 @@ TEST(PolicyServerTest, RejectsNonFiniteState) {
   // A NaN or infinity in a pre-encoded state is refused before it reaches
   // a forward, at either precision.
   for (const Precision precision : {Precision::kFp32, Precision::kInt8}) {
-    PolicyServerConfig config =
+    FleetConfig config =
         ServerConfig(/*threads=*/1, /*max_batch=*/4, /*delay_us=*/100);
     config.precision = precision;
-    std::unique_ptr<PolicyServer> server = MakeServer(config);
+    std::unique_ptr<Fleet> fleet = MakeOneShardFleet(config);
     for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
                             std::numeric_limits<float>::infinity(),
                             -std::numeric_limits<float>::infinity()}) {
@@ -180,33 +168,20 @@ TEST(PolicyServerTest, RejectsNonFiniteState) {
       request.state = FixedState();
       request.state[17] = bad;
       const ScheduleResponse response =
-          server->Submit(std::move(request)).get();
+          fleet->Submit(std::move(request)).get();
       EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
           << PrecisionName(precision) << " " << bad;
     }
     ScheduleRequest request;
     request.state = FixedState();
-    const ScheduleResponse response = server->Submit(std::move(request)).get();
+    const ScheduleResponse response = fleet->Submit(std::move(request)).get();
     EXPECT_TRUE(response.ok()) << response.status.ToString();
   }
 }
 
-TEST(PolicyServerTest, SubmitAfterStopFailsPrecondition) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/2, /*max_batch=*/4,
-                              /*delay_us=*/100));
-  server->Stop();
-  ScheduleRequest request;
-  request.state = FixedState();
-  const ScheduleResponse response = server->Submit(std::move(request)).get();
-  EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
-  server->Stop();  // idempotent
-}
-
 TEST(PolicyServerTest, MoveMaskConfinesDecisions) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
-                              /*delay_us=*/100));
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/1, /*max_batch=*/4, /*delay_us=*/100));
   // Worker 0 may only take move 3, worker 1 only move 5; sampling then has
   // a single non-(-1e9) logit per worker to draw from.
   std::vector<uint8_t> mask(2 * 17, 0);
@@ -215,7 +190,7 @@ TEST(PolicyServerTest, MoveMaskConfinesDecisions) {
   ScheduleRequest request;
   request.state = FixedState();
   request.move_mask = mask;
-  const ScheduleResponse response = server->Submit(std::move(request)).get();
+  const ScheduleResponse response = fleet->Submit(std::move(request)).get();
   ASSERT_TRUE(response.ok()) << response.status.ToString();
   ASSERT_EQ(response.act.moves.size(), 2u);
   EXPECT_EQ(response.act.moves[0], 3);
@@ -234,15 +209,14 @@ TEST(PolicyServerTest, MoveMaskConfinesDecisions) {
 }
 
 TEST(PolicyServerTest, DeterministicRequestsRepeat) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/2, /*max_batch=*/4,
-                              /*delay_us=*/100));
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/2, /*max_batch=*/4, /*delay_us=*/100));
   ScheduleRequest first;
   first.state = FixedState();
   first.deterministic = true;
   ScheduleRequest second = first;
-  const ScheduleResponse a = server->Submit(std::move(first)).get();
-  const ScheduleResponse b = server->Submit(std::move(second)).get();
+  const ScheduleResponse a = fleet->Submit(std::move(first)).get();
+  const ScheduleResponse b = fleet->Submit(std::move(second)).get();
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.act.moves, b.act.moves);
   EXPECT_EQ(a.act.charges, b.act.charges);
@@ -251,14 +225,13 @@ TEST(PolicyServerTest, DeterministicRequestsRepeat) {
 
 TEST(PolicyServerTest, FlushBySizeSharesOneBatch) {
   // Delay long enough that only the size trigger can flush this quickly.
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/3,
-                              /*delay_us=*/500'000));
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/1, /*max_batch=*/3, /*delay_us=*/500'000));
   std::vector<std::future<ScheduleResponse>> futures;
   for (int i = 0; i < 3; ++i) {
     ScheduleRequest request;
     request.state = FixedState();
-    futures.push_back(server->Submit(std::move(request)));
+    futures.push_back(fleet->Submit(std::move(request)));
   }
   const auto start = std::chrono::steady_clock::now();
   for (std::future<ScheduleResponse>& f : futures) {
@@ -271,13 +244,12 @@ TEST(PolicyServerTest, FlushBySizeSharesOneBatch) {
 }
 
 TEST(PolicyServerTest, FlushByTimeoutServesLoneRequest) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/64,
-                              /*delay_us=*/30'000));
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/1, /*max_batch=*/64, /*delay_us=*/30'000));
   const auto start = std::chrono::steady_clock::now();
   ScheduleRequest request;
   request.state = FixedState();
-  const ScheduleResponse response = server->Submit(std::move(request)).get();
+  const ScheduleResponse response = fleet->Submit(std::move(request)).get();
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(response.ok()) << response.status.ToString();
   EXPECT_EQ(response.batch_size, 1);
@@ -287,15 +259,14 @@ TEST(PolicyServerTest, FlushByTimeoutServesLoneRequest) {
 }
 
 TEST(PolicyServerTest, ClosedLoopLoadRunsCleanly) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/2, /*max_batch=*/8,
-                              /*delay_us=*/200));
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/2, /*max_batch=*/8, /*delay_us=*/200));
   LoadSpec spec;
   spec.mode = LoadMode::kClosedLoop;
   spec.clients = 4;
   spec.requests_per_client = 20;
   spec.env.horizon = 30;
-  const Result<LoadResult> result = RunLoad(*server, TinyMap(), spec);
+  const Result<LoadResult> result = RunLoad(*fleet, TinyMap(), spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().requests, 80u);
   EXPECT_EQ(result.value().errors, 0u);
@@ -306,45 +277,45 @@ TEST(PolicyServerTest, ClosedLoopLoadRunsCleanly) {
 }
 
 TEST(PolicyServerTest, RegistryPublishValidatesShapes) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
-                              /*delay_us=*/100));
-  EXPECT_EQ(server->epoch(), 0u);
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/1, /*max_batch=*/4, /*delay_us=*/100));
+  EXPECT_EQ(fleet->Epoch("default").value(), 0u);
 
   // Wrong tensor count.
-  EXPECT_EQ(server->Publish({nn::Tensor::Zeros({3})}).code(),
+  EXPECT_EQ(fleet->Publish("default", {nn::Tensor::Zeros({3})}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(server->epoch(), 0u);
+  EXPECT_EQ(fleet->Epoch("default").value(), 0u);
 
   // Right count, wrong shape on the first tensor.
   std::shared_ptr<const ModelRegistry::Snapshot> snapshot =
-      server->registry().Acquire();
+      fleet->scenarios().Find("")->Acquire();
   std::vector<nn::Tensor> wrong;
   for (const nn::Tensor& t : snapshot->params) wrong.push_back(t.Clone());
   wrong[0] = nn::Tensor::Zeros({1, 2, 3});
-  EXPECT_EQ(server->Publish(wrong).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(server->epoch(), 0u);
+  EXPECT_EQ(fleet->Publish("default", wrong).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet->Epoch("default").value(), 0u);
 
   // A matching set publishes as epoch 1.
   Rng rng(99);
   const agents::PolicyNet fresh(TinyNet(), rng);
-  ASSERT_TRUE(server->Publish(fresh.Parameters()).ok());
-  EXPECT_EQ(server->epoch(), 1u);
+  ASSERT_TRUE(fleet->Publish("default", fresh.Parameters()).ok());
+  EXPECT_EQ(fleet->Epoch("default").value(), 1u);
 }
 
 TEST(PolicyServerTest, PublishFromFileLoadsCheckpointOrFailsUntouched) {
-  std::unique_ptr<PolicyServer> server =
-      MakeServer(ServerConfig(/*threads=*/1, /*max_batch=*/4,
-                              /*delay_us=*/100));
-  EXPECT_FALSE(server->PublishFromFile("/nonexistent/ckpt.bin").ok());
-  EXPECT_EQ(server->epoch(), 0u);
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(
+      ServerConfig(/*threads=*/1, /*max_batch=*/4, /*delay_us=*/100));
+  EXPECT_FALSE(
+      fleet->PublishFromFile("default", "/nonexistent/ckpt.bin").ok());
+  EXPECT_EQ(fleet->Epoch("default").value(), 0u);
 
   Rng rng(123);
   const agents::PolicyNet trained(TinyNet(), rng);
   const std::string path = testing::TempDir() + "/serve_ckpt.bin";
   ASSERT_TRUE(nn::SaveParameters(path, trained.Parameters()).ok());
-  ASSERT_TRUE(server->PublishFromFile(path).ok());
-  EXPECT_EQ(server->epoch(), 1u);
+  ASSERT_TRUE(fleet->PublishFromFile("default", path).ok());
+  EXPECT_EQ(fleet->Epoch("default").value(), 1u);
 }
 
 // The acceptance test for the hot-swap protocol: every response must be
@@ -355,7 +326,7 @@ TEST(PolicyServerTest, PublishFromFileLoadsCheckpointOrFailsUntouched) {
 // response against the output its epoch implies. Bitwise equality is valid
 // because inference is deterministic at any batch size and thread count.
 TEST(PolicyServerTest, HotSwapNeverServesTornParameters) {
-  const PolicyServerConfig config =
+  const FleetConfig config =
       ServerConfig(/*threads=*/2, /*max_batch=*/4, /*delay_us=*/100);
   const std::vector<float> state = FixedState();
 
@@ -387,7 +358,7 @@ TEST(PolicyServerTest, HotSwapNeverServesTornParameters) {
   ASSERT_NE(expected0.move_logits, expected_b.move_logits);
   ASSERT_NE(expected_a.move_logits, expected_b.move_logits);
 
-  std::unique_ptr<PolicyServer> server = MakeServer(config);
+  std::unique_ptr<Fleet> fleet = MakeOneShardFleet(config);
 
   constexpr int kClients = 3;
   constexpr int kRequestsPerClient = 40;
@@ -400,7 +371,7 @@ TEST(PolicyServerTest, HotSwapNeverServesTornParameters) {
         ScheduleRequest request;
         request.state = state;
         request.deterministic = true;
-        ScheduleResponse response = server->Submit(std::move(request)).get();
+        ScheduleResponse response = fleet->Submit(std::move(request)).get();
         std::lock_guard<std::mutex> lock(mu);
         responses.push_back(std::move(response));
       }
@@ -409,10 +380,10 @@ TEST(PolicyServerTest, HotSwapNeverServesTornParameters) {
 
   // Publish A on odd epochs, B on even, mid-flight.
   for (int p = 0; p < 14; ++p) {
-    ASSERT_TRUE(
-        server
-            ->Publish(p % 2 == 0 ? net_a.Parameters() : net_b.Parameters())
-            .ok());
+    ASSERT_TRUE(fleet
+                    ->Publish("default", p % 2 == 0 ? net_a.Parameters()
+                                                    : net_b.Parameters())
+                    .ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (std::thread& t : clients) t.join();
