@@ -50,6 +50,10 @@ void ChiefEmployeeTrainer::ChiefApplyGradients() {
   };
   const std::vector<nn::Tensor> params = global_.agent.Parameters();
   apply_slots(params, ppo_grad_slots_);
+  // Each slot was clipped at max_grad_norm (MinibatchGradient), so this
+  // clip binds only by rounding: at one employee the sum is a clipped slot,
+  // whose norm can come out a hair above the bound. Dropping it changes
+  // the update's bits in some builds (agents_vec_equivalence_test).
   nn::ClipGradByGlobalNorm(params,
                            config_.ppo.max_grad_norm * config_.num_employees);
   global_.agent.optimizer().Step();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "nn/conv.h"
 #include "nn/module.h"
 
 namespace cews::agents {
@@ -22,6 +23,16 @@ struct CnnTrunkConfig {
   int conv3_channels = 16;
   int feature_dim = 256;
 };
+
+/// The trunk's conv stack, declared once: one stage per conv, each a 3x3
+/// conv with padding 1 (strides 1, 2, 2) followed by LayerNorm + ReLU over
+/// its whole output, as geometry over a batch of `n` images. A stage's
+/// parameters are the conv's weight and bias, then the LayerNorm's gamma
+/// and beta. CnnTrunk builds, runs and lists its blocks from this list; the
+/// int8 forward (agents/quant_policy.h) runs its stages and walks its
+/// bundle by it.
+std::vector<nn::conv::Plan> TrunkStages(const CnnTrunkConfig& config,
+                                        nn::Index n);
 
 /// conv3x3(s1)-LN-ReLU -> conv3x3(s2)-LN-ReLU -> conv3x3(s2)-LN-ReLU ->
 /// flatten -> FC -> ReLU.
@@ -39,9 +50,14 @@ class CnnTrunk : public nn::Module {
   const CnnTrunkConfig& config() const { return config_; }
 
  private:
+  /// One TrunkStages stage: the conv and the LayerNorm + ReLU after it.
+  struct Block {
+    std::unique_ptr<nn::Conv2dLayer> conv;
+    std::unique_ptr<nn::LayerNormRelu> norm;
+  };
+
   CnnTrunkConfig config_;
-  std::unique_ptr<nn::Conv2dLayer> conv1_, conv2_, conv3_;
-  std::unique_ptr<nn::LayerNormRelu> ln1_, ln2_, ln3_;
+  std::vector<Block> blocks_;
   std::unique_ptr<nn::Linear> fc_;
   nn::Index flat_after_conv_ = 0;
 };

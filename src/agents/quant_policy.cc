@@ -1,8 +1,11 @@
 #include "agents/quant_policy.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "agents/cnn_trunk.h"
+#include "agents/eval.h"
 #include "common/check.h"
 #include "nn/conv.h"
 #include "nn/gemm.h"
@@ -20,9 +23,6 @@ using nn::ScopedVec;
 using nn::quant::QuantizedParams;
 using nn::quant::QuantizedTensor;
 namespace gemm = nn::gemm;
-
-/// LayerNorm epsilon of nn::LayerNormRelu (the LayerNormReluOp default).
-constexpr float kLnEps = 1e-5f;
 
 /// One conv-LN-ReLU block over the whole batch: per image, the patch panel
 /// (gemm_int8.h) -> Int8DotRows with the quantized conv weight on the A
@@ -55,8 +55,8 @@ void ConvLnReluStage(const nn::conv::Plan& plan, const QuantizedTensor& wq,
       gemm::DropPadColumns(pp, plan.oc, dot.data(), out + img * f);
     }
     ScopedVec stats(nn::layer_norm::StatsFloats(n1 - n0));
-    nn::layer_norm::Forward(n1 - n0, f, kLnEps, out + n0 * f, ln_g, ln_b,
-                            stats.data(), out + n0 * f);
+    nn::layer_norm::Forward(n1 - n0, f, nn::layer_norm::kEps, out + n0 * f,
+                            ln_g, ln_b, stats.data(), out + n0 * f);
   });
 }
 
@@ -74,83 +74,105 @@ void QuantLinear(Index m, Index k, Index n, const float* x,
                           /*bias_col=*/bias, out, n);
 }
 
-/// Index of the first maximum (SampleFromLogits' deterministic rule).
-int Argmax(const float* v, int n) {
-  int best = 0;
-  float mx = v[0];
-  for (int i = 1; i < n; ++i) {
-    if (v[i] > mx) {
-      mx = v[i];
-      best = i;
+/// Reads a bundle front to back in PolicyNet::Parameters() order, CHECKing
+/// each entry's kind, and each dense entry's size, as it is taken (a
+/// quantized entry's shape is checked where it is used).
+struct BundleCursor {
+  const QuantizedParams::Entry& Next(bool quantized) {
+    CEWS_CHECK_LT(next, qp.entries.size()) << "bundle entries";
+    CEWS_CHECK_EQ(qp.entries[next].quantized, quantized)
+        << "quantized bundle entry" << next;
+    return qp.entries[next++];
+  }
+  const QuantizedTensor& Quantized() { return Next(true).q; }
+  const float* Dense(Index size) {
+    const std::vector<float>& dense = Next(false).dense;
+    CEWS_CHECK_EQ(static_cast<Index>(dense.size()), size)
+        << "floats in bundle entry" << next - 1;
+    return dense.data();
+  }
+
+  const QuantizedParams& qp;
+  size_t next = 0;
+};
+
+/// The fp32 net's and the bundle's argmax decisions on `batch` stacked
+/// states, tallied per worker and head into `stats`; returns the fp32 net's.
+std::vector<PolicyDecision> CompareDecisions(const PolicyNet& net,
+                                             const QuantizedParams& qp,
+                                             const std::vector<float>& states,
+                                             int batch, AgreementStats& stats) {
+  const PolicyNetConfig& cfg = net.config();
+  const std::vector<uint8_t> argmax(static_cast<size_t>(batch), 1);
+  Rng unused(0);  // argmax decisions draw nothing
+  std::vector<PolicyDecision> ref =
+      DecidePolicyBatch(net, states, batch, unused, argmax.data());
+  const QuantPolicyOutput q = QuantPolicyForward(cfg, qp, states.data(), batch);
+  const std::vector<PolicyDecision> got =
+      DecideFromLogits(cfg, q.move_logits.data(), q.charge_logits.data(),
+                       q.value.data(), batch, unused, argmax.data());
+  stats.states += batch;
+  for (int i = 0; i < batch; ++i) {
+    const ActResult& a = ref[static_cast<size_t>(i)].act;
+    const ActResult& b = got[static_cast<size_t>(i)].act;
+    for (int w = 0; w < cfg.num_workers; ++w) {
+      stats.decisions += 2;
+      stats.matched +=
+          (a.moves[w] == b.moves[w]) + (a.charges[w] == b.charges[w]);
     }
   }
-  return best;
+  return ref;
 }
 
 }  // namespace
 
 nn::quant::QuantizedParams QuantizePolicyParams(
     const std::vector<nn::Tensor>& params) {
-  CEWS_CHECK_EQ(params.size(), 20u);
-  // Quantize exactly the serve-hot GEMM weights: conv1/conv2/conv3 kernels
-  // and the trunk FC. Heads (indices 14, 16, 18), biases and LN params stay
-  // dense fp32.
-  std::vector<uint8_t> flags(params.size(), 0);
-  flags[0] = flags[4] = flags[8] = flags[12] = 1;
-  return nn::quant::QuantizeParams(params, &flags);
+  // In PolicyNet::Parameters() order, each trunk stage's conv weight is
+  // quantized and its bias and LayerNorm gamma and beta are not; so is the
+  // trunk FC's weight and not its bias. The heads after them stay fp32.
+  std::vector<uint8_t> quantize;
+  for (size_t s = TrunkStages(CnnTrunkConfig{}, 1).size(); s > 0; --s) {
+    quantize.insert(quantize.end(), {1, 0, 0, 0});
+  }
+  quantize.insert(quantize.end(), {1, 0});
+  CEWS_CHECK_GT(params.size(), quantize.size()) << "policy parameters";
+  quantize.resize(params.size(), 0);
+  return nn::quant::QuantizeParams(params, quantize);
 }
 
 QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
                                      const QuantizedParams& qp,
                                      const float* states, int batch) {
   CEWS_CHECK_GT(batch, 0);
-  CEWS_CHECK_EQ(qp.entries.size(), 20u);
-
   const Index b = batch;
-  // The trunk's three 3x3 convs, padding 1, strides 1/2/2 (cnn_trunk.cc).
-  const nn::conv::Plan conv1(b, config.in_channels, config.grid, config.grid,
-                             config.conv1_channels, 3, 3, 1, 1);
-  const nn::conv::Plan conv2(b, conv1.oc, conv1.oh, conv1.ow,
-                             config.conv2_channels, 3, 3, 2, 1);
-  const nn::conv::Plan conv3(b, conv2.oc, conv2.oh, conv2.ow,
-                             config.conv3_channels, 3, 3, 2, 1);
-  const Index f1 = conv1.oc * conv1.ohow();
-  const Index f2 = conv2.oc * conv2.ohow();
-  const Index flat = conv3.oc * conv3.ohow();
+  BundleCursor bundle{qp};
+
+  // The trunk's stages, each quantized conv -> LayerNorm + ReLU, reading
+  // the previous stage's output.
+  const std::vector<nn::conv::Plan> stages =
+      TrunkStages(config.TrunkConfig(), b);
+  std::vector<ScopedVec> acts;
+  acts.reserve(stages.size());
+  const float* in = states;
+  for (const nn::conv::Plan& stage : stages) {
+    const Index f = stage.oc * stage.ohow();  // LayerNorm feature width
+    const QuantizedTensor& w = bundle.Quantized();
+    const float* bias = bundle.Dense(stage.oc);
+    const float* ln_g = bundle.Dense(f);
+    const float* ln_b = bundle.Dense(f);
+    float* out = acts.emplace_back(b * f).data();
+    ConvLnReluStage(stage, w, bias, ln_g, ln_b, in, out);
+    in = out;
+  }
+
+  // Trunk FC + ReLU. The last stage's output is already the flattened
+  // [b, flat] matrix.
+  const Index flat = stages.back().oc * stages.back().ohow();
   const Index feat = config.feature_dim;
-  const Index n_move =
-      static_cast<Index>(config.num_workers) * config.num_moves;
-  const Index n_charge = static_cast<Index>(config.num_workers) * 2;
-
-  // Parameter bundle layout = PolicyNet::Parameters() order:
-  // trunk (conv1 w/b, ln1 g/b, conv2 w/b, ln2 g/b, conv3 w/b, ln3 g/b,
-  // fc w/b) then move, charge, value head w/b pairs. The quantized entries'
-  // shapes are checked where they are used; the dense ones here.
-  auto quantized = [&qp](size_t i) -> const QuantizedTensor& {
-    CEWS_CHECK(qp.entries[i].quantized);
-    return qp.entries[i].q;
-  };
-  auto dense = [&qp](size_t i, Index size) -> const float* {
-    CEWS_CHECK(!qp.entries[i].quantized);
-    CEWS_CHECK_EQ(static_cast<Index>(qp.entries[i].dense.size()), size)
-        << "floats in bundle entry" << i;
-    return qp.entries[i].dense.data();
-  };
-
-  ScopedVec act1(b * f1);
-  ScopedVec act2(b * f2);
-  ScopedVec act3(b * flat);
-  ConvLnReluStage(conv1, quantized(0), dense(1, conv1.oc), dense(2, f1),
-                  dense(3, f1), states, act1.data());
-  ConvLnReluStage(conv2, quantized(4), dense(5, conv2.oc), dense(6, f2),
-                  dense(7, f2), act1.data(), act2.data());
-  ConvLnReluStage(conv3, quantized(8), dense(9, conv3.oc), dense(10, flat),
-                  dense(11, flat), act2.data(), act3.data());
-
-  // Trunk FC + ReLU. act3 is already the flattened [b, flat] matrix.
+  const QuantizedTensor& fc_w = bundle.Quantized();
   ScopedVec feature(b * feat);
-  QuantLinear(b, flat, feat, act3.data(), quantized(12), dense(13, feat),
-              feature.data());
+  QuantLinear(b, flat, feat, in, fc_w, bundle.Dense(feat), feature.data());
   for (Index i = 0; i < b * feat; ++i) {
     feature.data()[i] = std::max(0.0f, feature.data()[i]);
   }
@@ -158,61 +180,35 @@ QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
   // Heads run fp32 on their dense weights (see QuantizePolicyParams): they
   // are a sliver of the forward cost and own the argmax decision, so the
   // only int8 error reaching the logits is the trunk's feature perturbation.
+  const auto head = [&](Index n, std::vector<float>& y) {
+    y.resize(static_cast<size_t>(b * n));
+    const float* w = bundle.Dense(feat * n);
+    gemm::LinearRowsF32(b, n, feat, feature.data(), w, bundle.Dense(n),
+                        y.data());
+  };
   QuantPolicyOutput out;
-  out.move_logits.resize(static_cast<size_t>(b * n_move));
-  out.charge_logits.resize(static_cast<size_t>(b * n_charge));
-  out.value.resize(static_cast<size_t>(b));
-  gemm::LinearRowsF32(b, n_move, feat, feature.data(),
-                      dense(14, feat * n_move), dense(15, n_move),
-                      out.move_logits.data());
-  gemm::LinearRowsF32(b, n_charge, feat, feature.data(),
-                      dense(16, feat * n_charge), dense(17, n_charge),
-                      out.charge_logits.data());
-  gemm::LinearRowsF32(b, 1, feat, feature.data(), dense(18, feat),
-                      dense(19, 1), out.value.data());
+  head(static_cast<Index>(config.num_workers) * config.num_moves,
+       out.move_logits);
+  head(static_cast<Index>(config.num_workers) * 2, out.charge_logits);
+  head(1, out.value);
+  CEWS_CHECK_EQ(bundle.next, qp.entries.size()) << "bundle entries";
   return out;
 }
 
-AgreementStats ActionAgreementOnStates(const PolicyNet& net,
-                                       const QuantizedParams& qp,
-                                       const std::vector<float>& states,
-                                       int batch) {
-  const PolicyNetConfig& cfg = net.config();
-  CEWS_CHECK_GT(batch, 0);
-  CEWS_CHECK_EQ(static_cast<int>(states.size()),
-                batch * cfg.in_channels * cfg.grid * cfg.grid);
-
-  // fp32 reference logits.
-  std::vector<float> ref_move, ref_charge;
-  {
-    nn::NoGradGuard no_grad;
-    const nn::Tensor x = nn::Tensor::FromData(
-        {batch, cfg.in_channels, cfg.grid, cfg.grid}, states);
-    const PolicyOutput out = net.Forward(x);
-    ref_move.assign(out.move_logits.data(),
-                    out.move_logits.data() + out.move_logits.numel());
-    ref_charge.assign(out.charge_logits.data(),
-                      out.charge_logits.data() + out.charge_logits.numel());
-  }
-
-  const QuantPolicyOutput q =
-      QuantPolicyForward(cfg, qp, states.data(), batch);
-
+AgreementStats ProbeActionAgreement(const PolicyNet& net,
+                                    const QuantizedParams& qp,
+                                    const env::StateEncoder& encoder,
+                                    env::VecEnv& envs, int steps) {
   AgreementStats stats;
-  for (int i = 0; i < batch; ++i) {
-    for (int w = 0; w < cfg.num_workers; ++w) {
-      const int moff = (i * cfg.num_workers + w) * cfg.num_moves;
-      const int coff = (i * cfg.num_workers + w) * 2;
-      stats.decisions += 2;
-      if (Argmax(ref_move.data() + moff, cfg.num_moves) ==
-          Argmax(q.move_logits.data() + moff, cfg.num_moves)) {
-        ++stats.matched;
-      }
-      if (Argmax(ref_charge.data() + coff, 2) ==
-          Argmax(q.charge_logits.data() + coff, 2)) {
-        ++stats.matched;
-      }
+  envs.Reset();
+  for (int step = 0; step < steps && !envs.AllDone(); ++step) {
+    std::vector<std::vector<env::WorkerAction>> actions;
+    for (PolicyDecision& d :
+         CompareDecisions(net, qp, encoder.EncodeBatch(envs.EnvPtrs()),
+                          envs.size(), stats)) {
+      actions.push_back(std::move(d.act.actions));
     }
+    envs.Step(actions);
   }
   return stats;
 }

@@ -1,8 +1,9 @@
 // cews::agents — the int8 inference executor for the policy architecture.
 //
-// QuantPolicyForward replays PolicyNet::Forward's exact layer sequence
-// (conv3x3-LN-ReLU x3 -> flatten -> FC-ReLU -> three linear heads) against
-// a publish-time nn::quant::QuantizedParams bundle instead of fp32 tensors.
+// QuantPolicyForward runs PolicyNet::Forward's layer sequence (the trunk's
+// conv-LN-ReLU stages of agents::TrunkStages -> flatten -> FC-ReLU -> three
+// linear heads) against a publish-time nn::quant::QuantizedParams bundle
+// instead of fp32 tensors, walking the bundle in stage order.
 // The three convs and the trunk FC run on the packed int8 kernels
 // (nn/gemm_int8.h) with per-output-channel weight scales, dynamic
 // activation scales (per output pixel for the convs, per row for the FC),
@@ -44,12 +45,12 @@
 // shared_ptr pin, and a swap can never expose torn weights because a batch
 // is served entirely by the bundle captured at dequeue time.
 //
-// Correctness is gated behaviorally, not bitwise: ActionAgreement* compares
-// the quantized policy's argmax decisions (per worker, move and charge head)
-// against the fp32 net's over a state set, and serving requires the match
-// rate to clear a configured threshold (>= 99% over the scenario suite;
-// tests/serve_quant_test.cc, the deploy loop's eval gate, and the
-// `cews serve --precision int8` startup check all enforce it).
+// Correctness is gated behaviorally, not bitwise: ProbeActionAgreement
+// compares the quantized policy's argmax decisions (per worker, move and
+// charge head) against the fp32 net's along a greedy rollout, and serving
+// requires the match rate to clear a configured threshold (>= 99% over the
+// scenario suite; tests/serve_quant_test.cc, the deploy loop's eval gate and
+// the `cews serve --precision int8` startup check all run that one probe).
 #ifndef CEWS_AGENTS_QUANT_POLICY_H_
 #define CEWS_AGENTS_QUANT_POLICY_H_
 
@@ -57,6 +58,8 @@
 #include <vector>
 
 #include "agents/policy_net.h"
+#include "env/state_encoder.h"
+#include "env/vec_env.h"
 #include "nn/quant.h"
 
 namespace cews::agents {
@@ -69,13 +72,14 @@ struct QuantPolicyOutput {
   std::vector<float> value;          ///< [batch].
 };
 
-/// Builds the policy's serving bundle: the serve-hot GEMM weights — the
-/// three conv kernels and the trunk FC, which dominate forward cost — are
-/// quantized per output channel; the head weights (move/charge/value) stay
-/// dense fp32. The heads are tiny (n = W*moves, W*2, 1: a few percent of
-/// forward FLOPs) and sit directly on the argmax decision, so quantizing
+/// Builds the policy's serving bundle: the serve-hot GEMM weights — each
+/// trunk stage's conv kernel and the trunk FC, which dominate forward cost
+/// — are quantized per output channel; the head weights (move/charge/value)
+/// stay dense fp32. The heads are tiny (n = W*moves, W*2, 1: a few percent
+/// of forward FLOPs) and sit directly on the argmax decision, so quantizing
 /// them buys nothing and costs agreement. `params` must be in
-/// PolicyNet::Parameters() order (20 tensors, CHECKed).
+/// PolicyNet::Parameters() order; QuantPolicyForward checks the bundle
+/// against the architecture.
 nn::quant::QuantizedParams QuantizePolicyParams(
     const std::vector<nn::Tensor>& params);
 
@@ -83,17 +87,18 @@ nn::quant::QuantizedParams QuantizePolicyParams(
 /// grid * grid floats, the SamplePolicyBatch layout). `qp` must have been
 /// built by QuantizePolicyParams from a parameter list in
 /// PolicyNet::Parameters() order for this architecture: every entry's kind
-/// and size are CHECKed against `config`. Deterministic at any thread
-/// count: integer accumulation plus per-image fp epilogues, both
-/// partition-invariant.
+/// and size, and the entry count, are CHECKed against `config`.
+/// Deterministic at any thread count: integer accumulation plus per-image
+/// fp epilogues, both partition-invariant.
 QuantPolicyOutput QuantPolicyForward(const PolicyNetConfig& config,
                                      const nn::quant::QuantizedParams& qp,
                                      const float* states, int batch);
 
 /// Action-agreement tally between the fp32 net and the quantized bundle.
-/// Every (instance, worker) contributes two decisions: the move-head argmax
+/// Every (state, worker) contributes two decisions: the move-head argmax
 /// and the charge-head argmax.
 struct AgreementStats {
+  int64_t states = 0;
   int64_t decisions = 0;
   int64_t matched = 0;
   double rate() const {
@@ -103,14 +108,16 @@ struct AgreementStats {
   }
 };
 
-/// Compares argmax decisions over `batch` stacked states. `net` provides
-/// the fp32 reference; `qp` must be a bundle of the SAME parameters (the
-/// caller typically quantized net.Parameters() or the published snapshot
-/// the net was copied from).
-AgreementStats ActionAgreementOnStates(const PolicyNet& net,
-                                       const nn::quant::QuantizedParams& qp,
-                                       const std::vector<float>& states,
-                                       int batch);
+/// The int8 agreement probe every gate runs: resets `envs`, then for up to
+/// `steps` lockstep steps (fewer if the episodes end first) compares the
+/// fp32 net's and the bundle's argmax decisions on the instances' encoded
+/// states and steps them with the fp32 net's. `qp` must be a bundle of the
+/// net's parameters. Draws no randomness, so the same net, bundle and
+/// environments give the same tally.
+AgreementStats ProbeActionAgreement(const PolicyNet& net,
+                                    const nn::quant::QuantizedParams& qp,
+                                    const env::StateEncoder& encoder,
+                                    env::VecEnv& envs, int steps);
 
 }  // namespace cews::agents
 

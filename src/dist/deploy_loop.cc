@@ -6,7 +6,6 @@
 #include "agents/quant_policy.h"
 #include "common/check.h"
 #include "common/log.h"
-#include "nn/quant.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 
@@ -70,41 +69,14 @@ Status DeployLoop::MaybePublish(int iteration, const agents::PolicyNet& net) {
   }
 
   // Int8 fleets additionally gate on action agreement: quantize the
-  // candidate exactly as Publish will, replay a short deterministic probe
-  // rollout, and reject if the quantized policy's argmax decisions diverge
-  // from fp32 beyond the configured tolerance. The probe uses its own rng
-  // and deterministic actions, so it can never perturb training or eval
-  // random streams.
+  // candidate exactly as Publish will, replay a short greedy probe rollout,
+  // and reject if the quantized policy's argmax decisions diverge from fp32
+  // beyond the configured tolerance. The probe draws no randomness, so it
+  // can never perturb training or eval random streams.
   if (fleet_->precision() == serve::Precision::kInt8) {
-    const nn::quant::QuantizedParams qp =
-        agents::QuantizePolicyParams(net.Parameters());
-    agents::AgreementStats stats;
-    eval_vec_->Reset();
-    Rng probe_rng(options_.eval_seed ^ 0xA5A5A5A55A5A5A5AULL);
-    std::vector<const env::Env*> live;
-    std::vector<int> live_index;
-    for (int step = 0; step < kAgreementProbeSteps && !eval_vec_->AllDone();
-         ++step) {
-      live.clear();
-      live_index.clear();
-      for (int i = 0; i < eval_vec_->size(); ++i) {
-        if (!eval_vec_->env(i).Done()) {
-          live.push_back(&eval_vec_->env(i));
-          live_index.push_back(i);
-        }
-      }
-      const std::vector<float> states = encoder_.EncodeBatch(live);
-      const int n = static_cast<int>(live.size());
-      const agents::AgreementStats s =
-          agents::ActionAgreementOnStates(net, qp, states, n);
-      stats.decisions += s.decisions;
-      stats.matched += s.matched;
-      const std::vector<agents::ActResult> acts = agents::SamplePolicyBatch(
-          net, states, n, probe_rng, /*deterministic=*/true);
-      for (size_t k = 0; k < live_index.size(); ++k) {
-        eval_vec_->env(live_index[k]).Step(acts[k].actions);
-      }
-    }
+    const agents::AgreementStats stats = agents::ProbeActionAgreement(
+        net, agents::QuantizePolicyParams(net.Parameters()), encoder_,
+        *eval_vec_, kAgreementProbeSteps);
     static obs::Gauge* const agreement_gauge =
         obs::GetGauge("dist.publish.agreement");
     agreement_gauge->Set(stats.rate());

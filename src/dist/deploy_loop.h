@@ -45,8 +45,8 @@ struct DeployOptions {
   /// score >= published_score - min_delta. 0 = monotone non-decreasing.
   double min_delta = 0.0;
   /// Int8 fleets only: minimum fp32-vs-int8 action-agreement rate
-  /// (agents::ActionAgreementOnStates over a short deterministic probe
-  /// rollout) a candidate must clear in ADDITION to the score gate. A
+  /// (agents::ProbeActionAgreement over a short greedy rollout) a
+  /// candidate must clear in ADDITION to the score gate. A
   /// candidate whose quantization flips more than 1 - agreement_min of the
   /// argmax decisions is rejected — the fleet keeps serving the previous
   /// snapshot. Ignored by fp32 fleets.

@@ -76,9 +76,10 @@ inline constexpr Index Int8PanelBytes(Index k, Index n) {
 
 /// Quantizes each row of X (m x k fp32, row stride ldx) symmetrically to
 /// int8: scales[i] = rowmax|x|/127 (1.0 for an all-zero row), xq[i*k + l] =
-/// saturate(rtne(x / scales[i])) in [-127, 127]. Round-to-nearest-even via
-/// std::nearbyintf under the default rounding mode — the same rule quant.h
-/// applies to weights, so activation and weight grids agree.
+/// saturate(rtne(x * (127 / rowmax|x|))) in [-127, 127]. Round-to-nearest-
+/// even via std::nearbyintf under the default rounding mode. quant.h
+/// quantizes each weight channel through this too, so activation and weight
+/// grids agree.
 void QuantizeRowsInt8(Index m, Index k, const float* x, Index ldx, int8_t* xq,
                       float* scales);
 

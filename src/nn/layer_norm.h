@@ -47,6 +47,10 @@
 
 namespace cews::nn::layer_norm {
 
+/// The epsilon nn::LayerNormReluOp and the int8 policy forward add to the
+/// variance (`eps` in the forward contract above).
+inline constexpr float kEps = 1e-5f;
+
 /// Per-row statistics Forward writes and Backward reads: (float)mu and is
 /// for each of n rows (floats).
 inline Index StatsFloats(Index n) { return 2 * n; }

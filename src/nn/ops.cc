@@ -772,7 +772,7 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
 }
 
 Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
-                       const Tensor& beta, RowMapPtr rows, float eps) {
+                       const Tensor& beta, RowMapPtr rows) {
   CEWS_CHECK_GE(x.ndim(), 2);
   const Index n = x.dim(0);
   CEWS_CHECK_GT(n, 0);
@@ -798,8 +798,8 @@ Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
   {
     CEWS_TRACE_SCOPE("nn.LayerNormRelu");
     const uint64_t t0 = Stopwatch::NowNs();
-    layer_norm::Forward(n, f, eps, x.data(), gamma.data(), beta.data(),
-                        stats->data(), r.data());
+    layer_norm::Forward(n, f, layer_norm::kEps, x.data(), gamma.data(),
+                        beta.data(), stats->data(), r.data());
     KernelMetrics& metrics = LayerNormMetrics();
     metrics.calls->Increment();
     metrics.fwd_flops->Add(fwd_flops);

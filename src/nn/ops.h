@@ -139,11 +139,11 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
 
 /// Layer normalization over all non-batch dims of x [N, ...] followed by
 /// ReLU, in one kernel (nn/layer_norm.h): relu(gamma * xhat + beta), where
-/// gamma/beta are flat [features] and features = numel/N. With `rows`, x
-/// holds the distinct rows of rows->logical() logical ones (RowMap).
+/// gamma/beta are flat [features], features = numel/N and the variance
+/// takes layer_norm::kEps. With `rows`, x holds the distinct rows of
+/// rows->logical() logical ones (RowMap).
 Tensor LayerNormReluOp(const Tensor& x, const Tensor& gamma,
-                       const Tensor& beta, RowMapPtr rows = nullptr,
-                       float eps = 1e-5f);
+                       const Tensor& beta, RowMapPtr rows = nullptr);
 
 /// out[i] = x[rows->rows()[i]]: the logical rows of a tensor holding only
 /// the distinct ones (RowMap). x: [rows->distinct(), ...] ->

@@ -1,7 +1,5 @@
 #include "nn/quant.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "nn/gemm_int8.h"
@@ -10,31 +8,6 @@
 namespace cews::nn::quant {
 
 namespace {
-
-inline int8_t SaturateRtne(float x) {
-  const float r = std::nearbyintf(x);
-  if (r >= 127.0f) return 127;
-  if (r <= -127.0f) return -127;
-  return static_cast<int8_t>(r);
-}
-
-/// Quantizes one channel (a contiguous run of `per_channel` fp32 values)
-/// into `dst`, returning its scale.
-float QuantizeChannelRun(const float* src, Index per_channel, int8_t* dst) {
-  float amax = 0.0f;
-  for (Index l = 0; l < per_channel; ++l) {
-    amax = std::max(amax, std::fabs(src[l]));
-  }
-  if (amax == 0.0f) {
-    std::fill(dst, dst + per_channel, int8_t{0});
-    return 1.0f;
-  }
-  const float inv = 127.0f / amax;
-  for (Index l = 0; l < per_channel; ++l) {
-    dst[l] = SaturateRtne(src[l] * inv);
-  }
-  return amax / 127.0f;
-}
 
 obs::Counter* QuantizeNsCounter() {
   static obs::Counter* const c = obs::GetCounter("quant.publish_ns");
@@ -49,7 +22,6 @@ QuantizedTensor QuantizeLinearWeight(const Tensor& w) {
   const Index in = w.dim(0);
   const Index out = w.dim(1);
   QuantizedTensor qt;
-  qt.shape = w.shape();
   qt.channels = out;
   qt.per_channel = in;
   qt.scales.resize(static_cast<size_t>(out));
@@ -61,8 +33,8 @@ QuantizedTensor QuantizeLinearWeight(const Tensor& w) {
   for (Index ch = 0; ch < out; ++ch) {
     float* col = column.data();
     for (Index l = 0; l < in; ++l) col[l] = pw[l * out + ch];
-    qt.scales[static_cast<size_t>(ch)] =
-        QuantizeChannelRun(col, in, qt.rows.data() + ch * in);
+    gemm::QuantizeRowsInt8(1, in, col, in, qt.rows.data() + ch * in,
+                           qt.scales.data() + ch);
   }
   // Pre-pack the B panel: rows is exactly the Y (n=out, k=in) operand
   // PackInt8NT consumes.
@@ -77,16 +49,12 @@ QuantizedTensor QuantizeConvWeight(const Tensor& w) {
   const Index oc = w.dim(0);
   const Index per = w.dim(1) * w.dim(2) * w.dim(3);
   QuantizedTensor qt;
-  qt.shape = w.shape();
   qt.channels = oc;
   qt.per_channel = per;
   qt.scales.resize(static_cast<size_t>(oc));
   qt.rows = AlignedInt8Buffer(oc * per);
-  const float* pw = w.data();
-  for (Index ch = 0; ch < oc; ++ch) {
-    qt.scales[static_cast<size_t>(ch)] =
-        QuantizeChannelRun(pw + ch * per, per, qt.rows.data() + ch * per);
-  }
+  gemm::QuantizeRowsInt8(oc, per, w.data(), per, qt.rows.data(),
+                         qt.scales.data());
   return qt;
 }
 
@@ -101,27 +69,22 @@ void DequantizeChannel(const QuantizedTensor& qt, Index ch, float* out) {
 }
 
 QuantizedParams QuantizeParams(const std::vector<Tensor>& params,
-                               const std::vector<uint8_t>* quantize) {
+                               const std::vector<uint8_t>& quantize) {
   const uint64_t t0 = Stopwatch::NowNs();
-  if (quantize != nullptr) {
-    CEWS_CHECK_EQ(quantize->size(), params.size());
-  }
+  CEWS_CHECK_EQ(quantize.size(), params.size());
   QuantizedParams qp;
   qp.entries.reserve(params.size());
   for (size_t i = 0; i < params.size(); ++i) {
     const Tensor& t = params[i];
     CEWS_CHECK(t.defined());
-    const bool wanted = quantize == nullptr || (*quantize)[i] != 0;
     QuantizedParams::Entry entry;
-    entry.shape = t.shape();
-    if (wanted && t.ndim() == 2) {
-      entry.quantized = true;
-      entry.q = QuantizeLinearWeight(t);
-    } else if (wanted && t.ndim() == 4) {
-      entry.quantized = true;
-      entry.q = QuantizeConvWeight(t);
-    } else {
+    entry.quantized = quantize[i] != 0;
+    if (!entry.quantized) {
       entry.dense.assign(t.data(), t.data() + t.numel());
+    } else if (t.ndim() == 2) {
+      entry.q = QuantizeLinearWeight(t);
+    } else {
+      entry.q = QuantizeConvWeight(t);
     }
     qp.entries.push_back(std::move(entry));
   }

@@ -2,12 +2,14 @@
 // policy parameters.
 //
 // Scale derivation (per output channel ch): scale[ch] = absmax(W[ch]) / 127,
-// q = saturate_rtne(w / scale) in [-127, 127], dequant w' = q * scale. The
-// grid is symmetric around an exactly-representable zero (0 -> 0 -> 0.0f),
-// the channel's absmax maps to ±127 exactly, and round-to-nearest-even
-// (std::nearbyintf under the default rounding mode) makes the mapping
-// deterministic and unbiased. "Output channel" means the axis a GEMM output
-// element sums over one row/column of:
+// q = saturate_rtne(w * (127 / absmax)) in [-127, 127], dequant w' = q *
+// scale. The grid is symmetric around an exactly-representable zero (0 -> 0
+// -> 0.0f), the channel's absmax maps to ±127 exactly, and
+// round-to-nearest-even (std::nearbyintf under the default rounding mode)
+// makes the mapping deterministic and unbiased. It is the activation rows'
+// rule too: each channel is quantized as one row by gemm::QuantizeRowsInt8.
+// "Output channel" means the axis a GEMM output element sums over one
+// row/column of:
 //   * Linear weights [in, out] — one channel per output feature (a column
 //     of W); stored channel-major ([out, in]) so each channel is a
 //     contiguous int8 row, plus a pre-packed B panel (gemm_int8.h) so the
@@ -91,7 +93,6 @@ class AlignedInt8Buffer {
 /// layout); `packed` additionally holds the gemm_int8 B panel for 2-D
 /// (Linear) weights, empty for conv weights (A-side operand).
 struct QuantizedTensor {
-  Shape shape;                 ///< Original fp32 shape.
   Index channels = 0;          ///< Output channels (= quantization groups).
   Index per_channel = 0;       ///< Elements per channel (the GEMM k).
   std::vector<float> scales;   ///< [channels], absmax/127 (1.0 if all-zero).
@@ -114,27 +115,26 @@ void DequantizeChannel(const QuantizedTensor& qt, Index ch, float* out);
 
 /// The immutable publish-time bundle: one entry per parameter tensor,
 /// index-aligned with the fp32 parameter list it was built from
-/// (PolicyNet::Parameters() order for policy nets). ndim >= 2 tensors are
-/// quantized; everything else (biases, LN gamma/beta) is a dense fp32 copy.
+/// (PolicyNet::Parameters() order for policy nets). The flagged weights are
+/// quantized; everything else is a dense fp32 copy.
 struct QuantizedParams {
   struct Entry {
     bool quantized = false;
     QuantizedTensor q;         ///< Valid when quantized.
     std::vector<float> dense;  ///< fp32 copy when not quantized.
-    Shape shape;               ///< Original shape either way.
   };
   std::vector<Entry> entries;
 };
 
 /// Builds the bundle from a parameter list (deep copy; `params` may be
-/// hot-swapped or freed afterwards). `quantize` (optional, one flag per
-/// parameter) restricts which eligible tensors are quantized: a 0 flag
-/// keeps that tensor as a dense fp32 copy even if its rank qualifies.
-/// Callers use this to quantize only the serve-hot GEMMs and keep small,
+/// hot-swapped or freed afterwards). `quantize` holds one flag per
+/// parameter: a flagged tensor must be a Linear (2-D) or Conv2d (4-D)
+/// weight and is quantized, the others are kept as dense fp32 copies.
+/// Callers quantize only the serve-hot GEMMs and keep small,
 /// decision-critical layers (e.g. policy heads) at full precision — see
-/// agents::QuantizePolicyParams. nullptr = quantize everything eligible.
+/// agents::QuantizePolicyParams.
 QuantizedParams QuantizeParams(const std::vector<Tensor>& params,
-                               const std::vector<uint8_t>* quantize = nullptr);
+                               const std::vector<uint8_t>& quantize);
 
 }  // namespace cews::nn::quant
 

@@ -115,8 +115,10 @@ class Fleet {
   std::future<ScheduleResponse> Submit(ScheduleRequest request);
 
   /// Hot-swaps one scenario's parameters fleet-wide (all shards share the
-  /// registry). NotFound for unknown scenarios; in-flight requests of
-  /// every scenario are unperturbed.
+  /// registry). NotFound for unknown scenarios; InvalidArgument, with the
+  /// current snapshot kept, for a set whose shapes do not match or that
+  /// holds a NaN or an infinity (ModelRegistry::Publish). In-flight
+  /// requests of every scenario are unperturbed.
   Status Publish(const std::string& scenario,
                  const std::vector<nn::Tensor>& params);
 

@@ -1,5 +1,7 @@
 #include "serve/model_registry.h"
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -61,6 +63,13 @@ Status ModelRegistry::Publish(const std::vector<nn::Tensor>& params) {
           "Publish: shape mismatch at index " + std::to_string(i) + ", " +
           nn::ShapeToString(params[i].shape()) + " vs " +
           nn::ShapeToString(reference->params[i].shape()));
+    }
+    // A NaN or an infinity would reach every later decision's logits.
+    const float* v = params[i].data();
+    if (!std::all_of(v, v + params[i].numel(),
+                     [](float x) { return std::isfinite(x); })) {
+      return Status::InvalidArgument(
+          "Publish: non-finite value in tensor at index " + std::to_string(i));
     }
   }
   // Clone (and quantize) outside the writer lock — only the epoch

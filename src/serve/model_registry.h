@@ -74,8 +74,8 @@ class ModelRegistry {
   /// Clones `params` into a fresh snapshot and swaps it in as the current
   /// one. Concurrent publishers are serialized against each other; readers
   /// wait at most for the pointer swap. Shapes must match the initial set
-  /// pairwise —
-  /// returns InvalidArgument otherwise, leaving the current snapshot
+  /// pairwise and every value must be finite — returns InvalidArgument
+  /// naming the tensor index otherwise, leaving the current snapshot
   /// untouched.
   Status Publish(const std::vector<nn::Tensor>& params);
 

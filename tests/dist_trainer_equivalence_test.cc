@@ -6,17 +6,27 @@
 // exact for this to hold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "agents/eval.h"
+#include "agents/policy_net.h"
 #include "common/rng.h"
 #include "dist/channel.h"
+#include "dist/deploy_loop.h"
 #include "dist/trainer.h"
 #include "dist/wire.h"
 #include "env/map.h"
 #include "env/state_encoder.h"
+#include "nn/params.h"
+#include "nn/serialize.h"
+#include "obs/metrics.h"
+#include "serve/fleet.h"
 
 namespace cews::dist {
 namespace {
@@ -237,6 +247,121 @@ TEST(DistEquivalenceTest, MergeRolloutsIsRankMajor) {
   EXPECT_EQ(merged.buffer[3].reward, 200.0f);
   EXPECT_EQ(merged.buffer[5].reward, 202.0f);
   EXPECT_EQ(merged.totals.env_steps, 6);
+}
+
+// ---------------------------------------------------------------------------
+// The deploy gate (DeployLoop) in front of a live fleet. These cases start
+// fleet threads, so they stay after every case that forks employees.
+// ---------------------------------------------------------------------------
+
+/// A gate over SmallMap's tiny-net problem, publishing into a one-shard
+/// fleet at `precision` (built first, by MakeFleet) every 2 iterations.
+struct GateRig {
+  GateRig(serve::Precision precision, double agreement_min, const char* tag)
+      : map(SmallMap()),
+        config(NormalizeConfig(
+            TinyDistConfig(agents::IntrinsicMode::kNone, 1, tag).trainer,
+            map)) {
+    options.publish_every = 2;
+    options.snapshot_path = ::testing::TempDir() + "cews_gate_" + tag + "_" +
+                            std::to_string(::getpid()) + ".bin";
+    options.agreement_min = agreement_min;
+    serve::FleetConfig fleet_config;
+    fleet_config.net = config.net;
+    fleet_config.scenarios = {options.scenario};
+    fleet_config.precision = precision;
+    auto created = serve::Fleet::Create(fleet_config);
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    fleet = std::move(created).value();
+    loop = std::make_unique<DeployLoop>(options, config, map, fleet.get());
+  }
+  ~GateRig() { std::remove(options.snapshot_path.c_str()); }
+
+  uint64_t epoch() const { return fleet->Epoch(options.scenario).value(); }
+
+  /// The gate's score of `net`: the mean kappa of its greedy eval.
+  double Score(const agents::PolicyNet& net) const {
+    env::VecEnv envs(config.env, map, options.eval_envs);
+    Rng rng(options.eval_seed);
+    double score = 0.0;
+    for (const agents::EvalResult& r : agents::EvaluatePolicyVec(
+             net, envs, env::StateEncoder(config.encoder), rng, true)) {
+      score += r.kappa / options.eval_envs;
+    }
+    return score;
+  }
+
+  env::Map map;
+  agents::TrainerConfig config;
+  DeployOptions options;
+  std::unique_ptr<serve::Fleet> fleet;
+  std::unique_ptr<DeployLoop> loop;
+};
+
+TEST(DeployGateTest, OffCadenceIterationIsANoOp) {
+  GateRig rig(serve::Precision::kFp32, 0.99, "offcadence");
+  Rng rng(1);
+  const agents::PolicyNet net(rig.config.net, rng);
+  ASSERT_TRUE(rig.loop->MaybePublish(/*iteration=*/0, net).ok());
+  EXPECT_EQ(rig.loop->accepted(), 0);
+  EXPECT_EQ(rig.loop->rejected(), 0);
+  EXPECT_EQ(rig.epoch(), 0u);
+  EXPECT_FALSE(nn::LoadParameters(rig.options.snapshot_path,
+                                  net.Parameters())
+                   .ok());  // nothing was saved
+}
+
+TEST(DeployGateTest, ScoreRegressionIsRejected) {
+  GateRig rig(serve::Precision::kFp32, 0.99, "regression");
+  // A freshly initialized net, then one with every parameter zeroed: its
+  // logits all tie, so every worker always takes move 0 (stay), and it
+  // scores lower.
+  Rng rng(1);
+  const agents::PolicyNet good(rig.config.net, rng);
+  const agents::PolicyNet idle(rig.config.net, rng);
+  for (nn::Tensor t : idle.Parameters()) {
+    std::fill(t.data(), t.data() + t.numel(), 0.0f);
+  }
+  ASSERT_GT(rig.Score(good), rig.Score(idle));
+
+  ASSERT_TRUE(rig.loop->MaybePublish(1, good).ok());
+  EXPECT_EQ(rig.loop->accepted(), 1);
+  EXPECT_EQ(rig.epoch(), 1u);
+  ASSERT_TRUE(rig.loop->MaybePublish(3, idle).ok());
+  EXPECT_EQ(rig.loop->rejected(), 1);
+  EXPECT_EQ(rig.loop->accepted(), 1);
+  EXPECT_EQ(rig.epoch(), 1u);
+  EXPECT_EQ(rig.loop->published_score(), rig.Score(good));
+}
+
+TEST(DeployGateTest, Int8AgreementBelowTheBarIsRejected) {
+  GateRig rig(serve::Precision::kInt8, 1.01, "int8reject");
+  obs::Gauge* const agreement = obs::GetGauge("dist.publish.agreement");
+  agreement->Set(-1.0);
+  Rng rng(1);
+  const agents::PolicyNet net(rig.config.net, rng);
+  ASSERT_TRUE(rig.loop->MaybePublish(1, net).ok());
+  EXPECT_EQ(rig.loop->rejected(), 1);
+  EXPECT_EQ(rig.loop->accepted(), 0);
+  EXPECT_EQ(rig.epoch(), 0u);
+  EXPECT_GE(agreement->Get(), 0.0);
+  EXPECT_LE(agreement->Get(), 1.0);
+}
+
+TEST(DeployGateTest, Int8AgreementAtTheBarPublishesTheSnapshot) {
+  GateRig rig(serve::Precision::kInt8, 0.0, "int8accept");
+  Rng rng(1);
+  const agents::PolicyNet net(rig.config.net, rng);
+  ASSERT_TRUE(rig.loop->MaybePublish(1, net).ok());
+  EXPECT_EQ(rig.loop->accepted(), 1);
+  EXPECT_EQ(rig.loop->rejected(), 0);
+  EXPECT_EQ(rig.epoch(), 1u);
+  Rng other(2);
+  const agents::PolicyNet loaded(rig.config.net, other);
+  ASSERT_TRUE(
+      nn::LoadParameters(rig.options.snapshot_path, loaded.Parameters()).ok());
+  EXPECT_EQ(nn::FlattenValues(loaded.Parameters()),
+            nn::FlattenValues(net.Parameters()));
 }
 
 }  // namespace

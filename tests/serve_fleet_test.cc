@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
@@ -18,6 +20,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "nn/params.h"
+#include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "serve/loadgen.h"
 #include "serve/router.h"
@@ -383,6 +386,62 @@ TEST(FleetTest, ConcurrentPerScenarioPublishesUnderLoad) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : publishers) t.join();
   EXPECT_EQ(served.load(), 100);
+}
+
+/// A parameter set holding a NaN or an infinity is refused, whether
+/// published directly or from a checkpoint, the scenario keeps serving its
+/// current snapshot, and a sampled request made afterwards is served (a
+/// non-finite move logit aborts the sampler).
+void ExpectNonFinitePublishRejected(Precision precision) {
+  FleetConfig config = TinyFleet(1);
+  config.precision = precision;
+  std::unique_ptr<Fleet> fleet = MakeFleet(config);
+  const std::string scenario = config.scenarios.front();
+  const std::string path = ::testing::TempDir() + "cews_nonfinite_" +
+                           std::to_string(::getpid()) + ".bin";
+  Rng rng(77);
+  const agents::PolicyNet net(config.net, rng);
+  // PolicyNet::Parameters() ends with the move, charge and value heads'
+  // weight and bias.
+  const size_t move_weight = net.Parameters().size() - 6;
+  const size_t value_bias = net.Parameters().size() - 1;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    for (const size_t index : {move_weight, value_bias}) {
+      std::vector<nn::Tensor> params;
+      for (const nn::Tensor& t : net.Parameters()) params.push_back(t.Clone());
+      params[index].data()[0] = bad;
+      const std::string where =
+          "value " + std::to_string(bad) + " at index " + std::to_string(index);
+      const Status published = fleet->Publish(scenario, params);
+      EXPECT_EQ(published.code(), StatusCode::kInvalidArgument) << where;
+      EXPECT_NE(published.message().find("index " + std::to_string(index)),
+                std::string::npos)
+          << published.ToString();
+      ASSERT_TRUE(nn::SaveParameters(path, params).ok());
+      EXPECT_EQ(fleet->PublishFromFile(scenario, path).code(),
+                StatusCode::kInvalidArgument)
+          << where;
+      EXPECT_EQ(fleet->Epoch(scenario).value(), 0u) << where;
+
+      ScheduleRequest request;
+      request.scenario = scenario;
+      request.state = FixedState();
+      const ScheduleResponse response =
+          fleet->Submit(std::move(request)).get();
+      ASSERT_TRUE(response.ok()) << where << ": " << response.status.ToString();
+      EXPECT_EQ(response.epoch, 0u) << where;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FleetTest, NonFinitePublishIsRejectedAtFp32) {
+  ExpectNonFinitePublishRejected(Precision::kFp32);
+}
+
+TEST(FleetTest, NonFinitePublishIsRejectedAtInt8) {
+  ExpectNonFinitePublishRejected(Precision::kInt8);
 }
 
 TEST(FleetTest, SubmitAfterStopFailsPrecondition) {

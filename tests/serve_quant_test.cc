@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "agents/eval.h"
 #include "agents/policy_net.h"
 #include "agents/quant_policy.h"
 #include "common/check.h"
@@ -27,6 +26,7 @@
 #include "core/scenarios.h"
 #include "env/env.h"
 #include "env/state_encoder.h"
+#include "env/vec_env.h"
 #include "nn/quant.h"
 #include "serve/fleet.h"
 #include "serve_one_shard.h"
@@ -230,24 +230,12 @@ TEST(QuantServeTest, AgreementAtLeast99PercentAcrossScenarioSuite) {
         scenario, /*pois=*/12, /*workers=*/cfg.num_workers, /*stations=*/2,
         /*seed=*/99);
     ASSERT_TRUE(map.ok()) << map.status().ToString();
-    env::Env env(env::EnvConfig{}, map.value());
-    env.Reset();
-    // Deterministic rollout under the fp32 policy, scoring agreement on
-    // every visited state.
-    Rng rollout_rng(7);
-    std::vector<float> states;
-    int visited = 0;
-    for (int step = 0; step < 24 && !env.Done(); ++step) {
-      const std::vector<float> state = encoder.Encode(env);
-      states.insert(states.end(), state.begin(), state.end());
-      ++visited;
-      const agents::ActResult act = agents::SamplePolicy(
-          *net, state, rollout_rng, /*deterministic=*/true);
-      env.Step(act.actions);
-    }
-    ASSERT_GT(visited, 0) << core::ScenarioName(scenario);
+    // Greedy rollout under the fp32 policy, scoring agreement on every
+    // visited state.
+    env::VecEnv envs(env::EnvConfig{}, map.value(), 1);
     const agents::AgreementStats stats =
-        agents::ActionAgreementOnStates(*net, qp, states, visited);
+        agents::ProbeActionAgreement(*net, qp, encoder, envs, /*steps=*/24);
+    ASSERT_GT(stats.states, 0) << core::ScenarioName(scenario);
     // Per-scenario floor: with ~96 decisions per rollout a 99% bar would
     // demand a perfect score (one near-tie argmax flip = 98.96%), so each
     // scenario only guards against collapse; the >= 99% acceptance gate is

@@ -560,41 +560,26 @@ int CmdServe(const Args& args) {
         "warning: no --ckpt, serving a randomly initialized policy\n");
   }
 
-  // Int8 startup gate: before taking any load, quantize the policy exactly
-  // as Publish did and replay a deterministic rollout on this map, requiring
-  // the quantized argmax decisions to agree with fp32 at --agreement-min.
-  // A checkpoint whose quantization flips too many decisions never serves.
+  // Int8 startup gate: before taking any load, replay a greedy rollout on
+  // this map, requiring the serving snapshot's int8 bundle to agree with
+  // its fp32 parameters' argmax decisions at --agreement-min. A checkpoint
+  // whose quantization flips too many decisions never serves.
   if (fleet_config.precision == serve::Precision::kInt8) {
     const double agreement_min = args.GetDouble("agreement-min", 0.99);
+    const auto snapshot = fleet.scenarios().Find(scenario_name)->Acquire();
     Rng net_rng(options.seed);
     agents::PolicyNet net(fleet_config.net, net_rng);
-    if (args.Has("ckpt")) {
-      const Status status =
-          nn::LoadParameters(args.Get("ckpt", ""), net.Parameters());
-      if (!status.ok()) return Fail(status);
-    }
-    const nn::quant::QuantizedParams qp =
-        agents::QuantizePolicyParams(net.Parameters());
-    const env::StateEncoder encoder(
-        env::StateEncoderConfig{fleet_config.net.grid});
-    env::Env env(env_config, map);
-    env.Reset();
-    Rng rollout_rng(options.seed ^ 0x5A5AULL);
-    std::vector<float> states;
-    int visited = 0;
-    for (int step = 0; step < 32 && !env.Done(); ++step) {
-      const std::vector<float> state = encoder.Encode(env);
-      states.insert(states.end(), state.begin(), state.end());
-      ++visited;
-      const agents::ActResult act = agents::SamplePolicy(
-          net, state, rollout_rng, /*deterministic=*/true);
-      env.Step(act.actions);
-    }
-    const agents::AgreementStats stats =
-        agents::ActionAgreementOnStates(net, qp, states, visited);
-    std::printf("int8 agreement: %.4f (%lld/%lld decisions over %d states)\n",
-                stats.rate(), static_cast<long long>(stats.matched),
-                static_cast<long long>(stats.decisions), visited);
+    nn::CopyParameters(snapshot->params, net.Parameters());
+    env::VecEnv probe_env(env_config, map, 1);
+    const agents::AgreementStats stats = agents::ProbeActionAgreement(
+        net, *snapshot->quant,
+        env::StateEncoder(env::StateEncoderConfig{fleet_config.net.grid}),
+        probe_env, /*steps=*/32);
+    std::printf(
+        "int8 agreement: %.4f (%lld/%lld decisions over %lld states)\n",
+        stats.rate(), static_cast<long long>(stats.matched),
+        static_cast<long long>(stats.decisions),
+        static_cast<long long>(stats.states));
     if (stats.rate() < agreement_min) {
       return Fail(Status::FailedPrecondition(
           "int8 action agreement " + std::to_string(stats.rate()) +

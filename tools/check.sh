@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health check: tier-1 build + tests, then a ThreadSanitizer build of
+# Repo health check: tier-1 build + tests, the `cews train` checkpoint md5
+# goldens at 1/2/4/8 employees, then a ThreadSanitizer build of
 # the concurrency-sensitive targets (thread pool, parallel kernels, both
 # trainers, the serve and dist subsystems) and an ASan+UBSan build of the
 # vectorized acting path (VecEnv, trainer core, both trainers) plus the
@@ -54,6 +55,32 @@ cmake --build "$repo/build" -j "$jobs"
 
 echo "== tier-1: ctest =="
 (cd "$repo/build" && ctest --output-on-failure -j "$jobs")
+
+echo "== determinism: cews train checkpoint goldens =="
+# The same seed and config must give the same checkpoint at any --threads
+# value and at any employee count (ROADMAP item 1). A change that alters
+# learning on purpose updates these md5s and says so in CHANGES.md.
+golden_dir="$repo/build/check_goldens"
+mkdir -p "$golden_dir"
+"$repo/build/tools/cews" map --scenario earthquake-site --pois 60 --seed 7 \
+  --out "$golden_dir/site.map" >/dev/null
+check_golden() {  # $1 = employees, $2 = threads, $3 = expected md5
+  "$repo/build/tools/cews" train --map "$golden_dir/site.map" --episodes 3 \
+    --employees "$1" --threads "$2" --seed 5 --ckpt "$golden_dir/policy.bin" \
+    >/dev/null 2>&1 ||
+    { echo "FAIL: cews train failed (employees=$1 threads=$2)"; exit 1; }
+  local got
+  got="$(md5sum <"$golden_dir/policy.bin" | awk '{print $1}')"
+  echo "employees=$1 threads=$2: $got"
+  [[ "$got" == "$3" ]] || { echo "FAIL: expected $3"; exit 1; }
+}
+for threads in 1 2 4; do
+  check_golden 1 "$threads" 10dca24ea8c312cab873cca81f044799
+  check_golden 2 "$threads" ba924230c4dc0484484b77db21bac47a
+done
+check_golden 4 1 aee6372ad6f61a52a774c550d56a67d0
+check_golden 8 1 15db9314a51938ecc7c7bc535cc0fdc8
+rm -rf "$golden_dir"
 
 echo "== nn: portable-lane conv, LayerNorm, GEMM, Adam, row-map and int8 spec =="
 # Without -march=native the direct conv kernels run on scalar std::fmaf
